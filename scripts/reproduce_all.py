@@ -39,8 +39,7 @@ def main() -> int:
         model = builtin_model(selector)
         print(f"== {selector} ==")
         for check in report.checks:
-            tag = "PASS" if check.passed else "FAIL"
-            print(f"{tag}  {check.name}: expected {check.expected}, got {check.actual}")
+            print(check.line)
         all_ok = all_ok and report.passed
 
         (out / f"{selector.lower()}_report.json").write_text(

@@ -156,6 +156,11 @@ class ReproCheck:
     def passed(self) -> bool:
         return self.expected == self.actual
 
+    @property
+    def line(self) -> str:
+        """The report line: PASS/FAIL tag, check name, expected and actual value."""
+        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: expected {self.expected}, got {self.actual}"
+
 
 @dataclass(frozen=True)
 class ReproductionReport:

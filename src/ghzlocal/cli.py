@@ -291,9 +291,7 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandOutcome:
             _dump(serialize.repro_report_to_json(report)),
         )
     lines = [f"reproduction report: {report.model}"]
-    for check in report.checks:
-        tag = "PASS" if check.passed else "FAIL"
-        lines.append(f"{tag}  {check.name}: expected {check.expected}, got {check.actual}")
+    lines.extend(check.line for check in report.checks)
     n_ok = sum(1 for c in report.checks if c.passed)
     lines.append(f"result: {'PASS' if report.passed else 'FAIL'} ({n_ok}/{len(report.checks)} checks)")
     return CommandOutcome(EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED, "\n".join(lines))

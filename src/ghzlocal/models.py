@@ -171,7 +171,10 @@ class Model:
         return cls.from_state_map(name, mapping)
 
     def family(self, state: MicroState) -> tuple[DDistribution, ...]:
-        return self._family_map[state]
+        try:
+            return self._family_map[state]
+        except KeyError:
+            raise ValueError(f"{state!r} is not a GHZ-compatible microstate") from None
 
     @property
     def _family_map(self) -> dict[MicroState, tuple[DDistribution, ...]]:
@@ -367,18 +370,6 @@ def verify_ac(model: Model) -> VerificationReport:
             if actual != expected:
                 failures.append(AcFailure(context, assign, expected, actual))
     return VerificationReport("ac", tuple(failures), tuple(skipped))
-
-
-def satisfies_ac(model: Model) -> bool:
-    """Early-exit adequacy check; context order puts the cheapest refutations first."""
-    for context in enumerate_contexts():
-        detected, buckets = _context_masses(model, context)
-        if detected == 0:
-            continue
-        for assign in outcome_assignments(context):
-            if buckets.get(assign.outcomes, Fraction(0)) / detected != qm_probability(assign):
-                return False
-    return True
 
 
 def verify_dm(model: Model) -> VerificationReport:

@@ -1,12 +1,21 @@
 """Exhaustive, lazily streamed search for models satisfying the family constraints.
 
 The search assigns one family of undetected-site masks per partition class
-(states inside a class are interchangeable under the uniform weights), prunes
-masks that fail detection masking for the class's violated triads, and keeps
-only candidates that pass the exact adequacy check.  Candidate masks are
-ordered by how redundantly they cover the violated triads (ties broken
-lexicographically), so maximal-coverage models stream first and bounded
-prefixes are meaningful; identical specs always produce identical streams.
+(states inside a class are interchangeable under the uniform weights).  Every
+candidate mask hits each triad the class violates, so detection masking (DM)
+holds by construction, and adequacy (AC) follows from a lemma:
+
+    for every class E, every context C other than the triads E violates, and
+    every outcome assignment o of C: #{s in E : s|C = o} = 16 * qm(o).
+
+All states of E detect C with one weight w_E(C), which DM sets to 0 on E's
+violated triads, so P(o | C detected) = sum_E w_E(C)*16*qm(o) / sum_E w_E(C)*16
+= qm(o).  The search is therefore the plain product of the per-class family
+lists; ``test_class_counts_match_qm_off_violated_triads`` in
+tests/test_search.py guards the lemma.  Candidate masks are ordered by how
+redundantly they cover the violated triads (ties broken lexicographically), so
+maximal-coverage models stream first and bounded prefixes are meaningful;
+identical specs always produce identical streams.
 """
 
 from __future__ import annotations
@@ -22,8 +31,6 @@ from .models import (
     Model,
     VerificationReport,
     census,
-    satisfies_ac,
-    verify_dm,
 )
 from .state_space import SITES, XY_SITES, PartitionElement, Site
 
@@ -102,42 +109,36 @@ def _families(
         yield from itertools.combinations(candidates, size)
 
 
+def _products(
+    elements: list[PartitionElement], spec: SearchSpec
+) -> Iterator[tuple[tuple[DDistribution, ...], ...]]:
+    """Lazy Cartesian product of the classes' family lists, first class
+    outermost; inner lists are regenerated per prefix, never materialised."""
+    if not elements:
+        yield ()
+        return
+    for family in _families(elements[0], spec):
+        for rest in _products(elements[1:], spec):
+            yield (family,) + rest
+
+
 def search_models(spec: SearchSpec) -> Iterator[Model]:
     """Stream every model matching the profile, in canonical order, up to the limit.
 
-    Detection masking holds by construction of the candidate masks; each
-    candidate is still put through the exact adequacy check before emission.
-    An exhausted stream with no emissions means the profile is unsatisfiable.
+    Every product of per-class families is emitted: DM holds by construction of
+    the candidate masks and AC by the lemma in the module docstring.  An
+    exhausted stream with no emissions means the profile is unsatisfiable.
     """
     spec.validate()
-    if spec.limit == 0:
-        return
     elements = list(PartitionElement)
     # Probe feasibility up front so an unsatisfiable class cannot hide behind
     # a combinatorially large prefix of satisfiable ones.
     for element in elements:
         if next(_families(element, spec), None) is None:
             return
-
-    emitted = 0
-
-    def assign(index: int, chosen: dict[PartitionElement, tuple[DDistribution, ...]]):
-        nonlocal emitted
-        if index == len(elements):
-            model = Model.from_element_families(f"model-{emitted + 1:04d}", chosen)
-            if verify_dm(model).passed and satisfies_ac(model):
-                emitted += 1
-                yield model
-            return
-        element = elements[index]
-        for family in _families(element, spec):
-            chosen[element] = family
-            yield from assign(index + 1, chosen)
-            if spec.limit is not None and emitted >= spec.limit:
-                return
-        chosen.pop(element, None)
-
-    yield from assign(0, {})
+    products = itertools.islice(_products(elements, spec), spec.limit)
+    for n, families in enumerate(products, start=1):
+        yield Model.from_element_families(f"model-{n:04d}", dict(zip(elements, families)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .builtin import ReproductionReport
 from .models import (
@@ -19,7 +19,6 @@ from .models import (
     DDistribution,
     DmFailure,
     Model,
-    MSpecification,
     VerificationReport,
 )
 from .qm import OutcomeAssignment
@@ -262,6 +261,25 @@ def search_spec_to_json(spec: SearchSpec) -> dict[str, Any]:
     }
 
 
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass, but true/false are not integers in a document
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _optional_int(data: dict[str, Any], key: str) -> Optional[int]:
+    value = data.get(key)
+    if value is not None and not _is_int(value):
+        raise FormatError(f"{key} must be an integer: {value!r}")
+    return value
+
+
+def _flag(data: dict[str, Any], key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise FormatError(f"{key} must be true or false: {value!r}")
+    return value
+
+
 def search_spec_from_json(data: Any) -> SearchSpec:
     if not isinstance(data, dict):
         raise FormatError("search spec must be a JSON object")
@@ -271,34 +289,17 @@ def search_spec_from_json(data: Any) -> SearchSpec:
     ddists = data.get("ddists_per_state")
     if ddists is None:
         ddists_range = None
-    elif isinstance(ddists, int):
+    elif _is_int(ddists):
         ddists_range = (ddists, ddists)
-    elif (
-        isinstance(ddists, list)
-        and len(ddists) == 2
-        and all(isinstance(v, int) for v in ddists)
-    ):
+    elif isinstance(ddists, list) and len(ddists) == 2 and all(_is_int(v) for v in ddists):
         ddists_range = (ddists[0], ddists[1])
     else:
         raise FormatError(f"ddists_per_state must be an int or [lo, hi]: {ddists!r}")
-    failure_count = data.get("failure_count")
-    if failure_count is not None and not isinstance(failure_count, int):
-        raise FormatError(f"failure_count must be an integer: {failure_count!r}")
-    limit = data.get("limit")
-    if limit is not None and not isinstance(limit, int):
-        raise FormatError(f"limit must be an integer: {limit!r}")
     return SearchSpec(
-        failure_count=failure_count,
-        z_always_detected=bool(data.get("z_always_detected", True)),
-        per_element_uniformity=bool(data.get("per_element_uniformity", True)),
+        failure_count=_optional_int(data, "failure_count"),
+        z_always_detected=_flag(data, "z_always_detected", True),
+        per_element_uniformity=_flag(data, "per_element_uniformity", True),
         ddists_per_state=ddists_range,
-        star_elements_all_undetected=bool(data.get("star_elements_all_undetected", False)),
-        limit=limit,
+        star_elements_all_undetected=_flag(data, "star_elements_all_undetected", False),
+        limit=_optional_int(data, "limit"),
     )
-
-
-# --------------------------------------------------------------------------- m-specifications
-
-
-def mspec_to_json(mspec: MSpecification) -> list[int]:
-    return list(mspec.values)

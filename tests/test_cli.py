@@ -198,6 +198,14 @@ def test_search_missing_spec_file(capsys):
     assert code == 3
 
 
+def test_search_spec_with_bool_for_int_is_parse_error(capsys, tmp_path):
+    spec = write_spec(tmp_path, "coerced.json", failure_count=True, z_always_detected="false")
+    code, out, err = run(capsys, "search", spec)
+    assert code == 3
+    assert out == ""
+    assert "failure_count" in err
+
+
 def test_search_limit_flag_overrides(capsys, tmp_path):
     spec = write_spec(tmp_path, "m3shape.json", failure_count=3, ddists_per_state=1, limit=3)
     code, out, _ = run(capsys, "search", spec, "--limit", "1")

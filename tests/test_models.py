@@ -1,5 +1,6 @@
 """Model calculus: m-specifications, the three probabilities, verification, combinations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,12 @@ def test_detection_restricted_to_single_state(m1):
     assert detection_probability(m1, ctx("x1"), restrict=state) == Fraction(2, 3)
     starred = partition_classes()[PartitionElement.I0][0]
     assert detection_probability(m1, ctx("x1"), restrict=starred) == 0
+
+
+def test_detection_restricted_to_non_ghz_state_names_it(m1):
+    state = MicroState((1, 1, 1, 1, 1, -1, 1, 1, 1))
+    with pytest.raises(ValueError, match=re.escape(state.label)):
+        detection_probability(m1, ctx("x1"), restrict=state)
 
 
 # --------------------------------------------------------------------------- conditionals

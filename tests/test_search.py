@@ -1,11 +1,20 @@
-"""Model search: membership, uniqueness, impossibility, determinism, soundness."""
+"""Model search: membership, uniqueness, impossibility, determinism, soundness,
+and the class-count lemma that makes the search a plain product."""
+
+import itertools
 
 import pytest
 
 from ghzlocal import (
+    DDistribution,
     ExpectedCounts,
+    Model,
     SearchSpec,
     UnboundedSearchError,
+    enumerate_contexts,
+    outcome_assignments,
+    partition_classes,
+    qm_probability,
     search_models,
     verify_ac,
     verify_counts,
@@ -85,6 +94,75 @@ def test_emitted_models_are_sound():
         for model in search_models(spec):
             assert verify_ac(model).passed
             assert verify_dm(model).passed
+
+
+def _class_residuals(element, context):
+    """#{s in class : s|context = o} - 16 * qm(o), for every outcome assignment o."""
+    states = partition_classes()[element]
+    idxs = [site.index for site in context.sites]
+    return [
+        sum(1 for s in states if tuple(s.values[i] for i in idxs) == assign.outcomes)
+        - 16 * qm_probability(assign)
+        for assign in outcome_assignments(context)
+    ]
+
+
+def test_class_counts_match_qm_off_violated_triads():
+    # The premise of search_models emitting every product without an AC check:
+    # on every context a class may detect under DM, its 16 states reproduce
+    # the quantum distribution exactly.
+    equalities = 0
+    for element in PartitionElement:
+        violated = {frozenset(triad.sites) for triad in element.violated}
+        for context in enumerate_contexts():
+            if frozenset(context.sites) in violated:
+                continue
+            residuals = _class_residuals(element, context)
+            assert residuals == [0] * len(residuals), (element, context.label)
+            equalities += len(residuals)
+    assert equalities == 2608
+
+
+def test_violated_triads_break_class_counts():
+    # DM masking is necessary, not merely sufficient: every violated triad has
+    # an outcome the class gets wrong.
+    for element in PartitionElement:
+        for triad in element.violated:
+            assert any(_class_residuals(element, triad.context)), (element, triad)
+
+
+def _reference_stream(spec):
+    """Eager product of per-class families built from feasible_masks, first
+    class outermost, keeping the candidates that pass full AC and DM."""
+    per_class = []
+    for element in PartitionElement:
+        if spec.star_elements_all_undetected and element.is_starred:
+            per_class.append([(DDistribution.all_undetected(),)])
+            continue
+        ddists = [DDistribution.with_undetected(m) for m in feasible_masks(element, spec)]
+        lo, hi = spec.ddists_per_state or (1, len(ddists))
+        per_class.append(
+            [fam for k in range(lo, hi + 1) for fam in itertools.combinations(ddists, k)]
+        )
+    for families in itertools.product(*per_class):
+        model = Model.from_element_families("reference", dict(zip(PartitionElement, families)))
+        if verify_dm(model).passed and verify_ac(model).passed:
+            yield model
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [M3_SHAPE, M1_SHAPE, SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=8)],
+    ids=["m3-shape", "m1-shape", "fc2-families-1-2"],
+)
+def test_stream_equals_filtered_reference_product(spec):
+    streamed = list(search_models(spec))
+    # an unsound stream fails here, before the reference walks unsound candidates
+    for model in streamed:
+        assert verify_dm(model).passed and verify_ac(model).passed
+    expected = [m.assignment for m in itertools.islice(_reference_stream(spec), spec.limit)]
+    assert [m.assignment for m in streamed] == expected
+    assert [m.name for m in streamed] == [f"model-{n:04d}" for n in range(1, len(expected) + 1)]
 
 
 def test_two_failure_search_contains_m2_masks(m2):

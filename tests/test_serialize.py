@@ -132,6 +132,9 @@ def test_search_spec_round_trip():
     assert search_spec_from_json({"failure_count": 1, "ddists_per_state": 3}) == SearchSpec(
         failure_count=1, ddists_per_state=(3, 3)
     )
+    assert search_spec_from_json(
+        {"failure_count": 3, "ddists_per_state": 1, "z_always_detected": False, "limit": 0}
+    ) == SearchSpec(failure_count=3, ddists_per_state=(1, 1), z_always_detected=False, limit=0)
 
 
 def test_search_spec_rejects_bad_documents():
@@ -143,6 +146,19 @@ def test_search_spec_rejects_bad_documents():
         search_spec_from_json({"ddists_per_state": [1, 2, 3]})
     with pytest.raises(FormatError):
         search_spec_from_json("nope")
+    # bool is an int in Python; neither may stand in for the other
+    for document in (
+        {"failure_count": True, "z_always_detected": "false"},
+        {"failure_count": 3, "limit": False},
+        {"failure_count": 3, "ddists_per_state": True},
+        {"failure_count": 3, "ddists_per_state": [1, True]},
+        {"failure_count": 3, "z_always_detected": "false"},
+        {"failure_count": 3, "z_always_detected": 0},
+        {"failure_count": 3, "per_element_uniformity": 1},
+        {"failure_count": 3, "star_elements_all_undetected": None},
+    ):
+        with pytest.raises(FormatError):
+            search_spec_from_json(document)
 
 
 def test_repro_report_json():
