@@ -16,14 +16,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ghzlocal import builtin_model, combination_distribution, reproduce_section4
+from ghzlocal import BUILTIN_SELECTORS, builtin_model, combination_distribution, reproduce_section4
 from ghzlocal.serialize import (
     combinations_to_csv,
     model_to_json,
     repro_report_to_json,
 )
-
-SELECTORS = ("M3", "M1", "M2")
 
 
 def main() -> int:
@@ -34,7 +32,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     all_ok = True
-    for selector in SELECTORS:
+    for selector in BUILTIN_SELECTORS:
         report = reproduce_section4(selector)
         model = builtin_model(selector)
         print(f"== {selector} ==")

@@ -13,6 +13,11 @@ and probability before trusting them.
 * M2 - two U-flags per d-distribution, z always detected: a starred class
   takes the three site pairs inside its M3 mask, a triple-intersection class
   all nine same-triad pairs that touch its violated triad.
+
+The reproduction report is one table per model: a flat list of rows
+``(name, expected, actual)``.  ``expected`` is the published value as text;
+``actual`` is always computed from the model handed to the report, never
+copied from the table, so a wrong model fails the rows it breaks.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .models import (
     DDistribution,
     Model,
+    _detecting,
+    _site_mask,
     census,
     combination_distribution,
     conditional_probability,
@@ -37,7 +44,6 @@ from .models import (
 )
 from .qm import outcome_assignments
 from .state_space import (
-    Axis,
     MeasurementContext,
     PartitionElement,
     Site,
@@ -172,257 +178,185 @@ class ReproductionReport:
         return all(c.passed for c in self.checks)
 
 
-def _ctx(*labels: str) -> MeasurementContext:
-    return MeasurementContext.from_labels(*labels)
+_Row = tuple[str, str, str]
+
+# M1 footnote: detection probabilities of contexts within the class I&II&III.
+_M1_RESTRICTED: tuple[tuple[tuple[str, ...], str], ...] = (
+    (("x1",), "2/3"),
+    (("y1",), "1"),
+    (("x1", "y2"), "2/3"),
+    (("x1", "x2"), "1/3"),
+    (("x1", "x2", "x3"), "0"),
+    (("x1", "y2", "x3"), "1/3"),
+    (("x1", "y2", "y3"), "2/3"),
+)
 
 
-def _f(value: Fraction) -> str:
-    return str(value)
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
-def _single_detections(model: Model, axis: Axis) -> set[Fraction]:
-    return {
-        detection_probability(model, _ctx(f"{axis.value}{n}")) for n in (1, 2, 3)
-    }
+def _same(values: Iterable[object]) -> str:
+    """The one value shared by all ``values``, as a string, or "mixed"."""
+    distinct = set(values)
+    return str(distinct.pop()) if len(distinct) == 1 else "mixed"
 
 
-def _triad_conditionals(model: Model) -> tuple[bool, bool]:
-    """(event probability is 1, every satisfying outcome triple is 1/4) over all triads."""
-    event_ok = True
-    triple_ok = True
+def _singles(model: Model, axes: str) -> str:
+    """The detection probability shared by every single site on the given axes."""
+    return _same(
+        detection_probability(model, MeasurementContext.from_labels(f"{axis}{n}"))
+        for axis in axes
+        for n in (1, 2, 3)
+    )
+
+
+def _triad_events(model: Model) -> dict[Triad, tuple[Fraction, bool]]:
+    """Per triad, the conditional mass of its constraint event, and whether every
+    satisfying outcome triple has conditional 1/4 and every other triple 0."""
+    events = {}
     for triad in Triad:
-        total = Fraction(0)
+        mass, exact = Fraction(0), True
         for assign in outcome_assignments(triad.context):
-            product = assign.outcomes[0] * assign.outcomes[1] * assign.outcomes[2]
             p = conditional_probability(model, assign)
-            if product == triad.required_sign:
-                total += p
-                triple_ok = triple_ok and p == Fraction(1, 4)
+            if assign.outcomes[0] * assign.outcomes[1] * assign.outcomes[2] == triad.required_sign:
+                mass += p
+                exact = exact and p == Fraction(1, 4)
             else:
-                triple_ok = triple_ok and p == 0
-        event_ok = event_ok and total == 1
-    return event_ok, triple_ok
+                exact = exact and p == 0
+        events[triad] = (mass, exact)
+    return events
 
 
-def _check_verifications(model: Model) -> list[ReproCheck]:
+def _event_rows(events: dict[Triad, tuple[Fraction, bool]], quarter: str) -> list[_Row]:
     return [
-        ReproCheck("adequacy condition holds", "pass", "pass" if verify_ac(model).passed else "fail"),
-        ReproCheck("detection-masking condition holds", "pass", "pass" if verify_dm(model).passed else "fail"),
+        ("every triad constraint event is certain on detection", "yes", _yes(all(m == 1 for m, _ in events.values()))),
+        (f"each satisfying outcome triple has conditional 1/4 ({quarter})", "yes", _yes(all(x for _, x in events.values()))),
     ]
 
 
-def _reproduce_m3(model: Model) -> list[ReproCheck]:
-    checks = [
-        ReproCheck("deterministic", "yes", "yes" if is_deterministic(model) else "no")
-    ]
+def _m3_rows(model: Model) -> list[_Row]:
     counts = census(model)
-    checks.append(ReproCheck("distinct d-distributions", "8", str(counts.d_distributions)))
-    checks.append(ReproCheck("distinct m-specifications", "96", str(counts.m_specifications)))
-    checks.append(ReproCheck("distinct combinations", "48", str(counts.combinations)))
-
-    # the I0 class yields the 8 outcome patterns (i1,0,k; 0,j2,k; 0,j3,k), i1*j2*j3=+1
+    dist = combination_distribution(model)
+    events = _triad_events(model)
     i0_states = partition_classes()[E.I0]
-    i0_specs = {m_specification(s, model.family(s)[0]) for s in i0_states}
-    expected_specs = set()
-    for k in (+1, -1):
-        for i1 in (+1, -1):
-            for j2 in (+1, -1):
-                j3 = i1 * j2  # forces i1*j2*j3 = +1
-                expected_specs.add((i1, 0, k, 0, j2, k, 0, j3, k))
-    checks.append(
-        ReproCheck(
+    # the I0 class yields the 8 outcome patterns (i1,0,k; 0,j2,k; 0,j3,k) with j3 = i1*j2
+    patterns = {(i1, 0, k, 0, j2, k, 0, i1 * j2, k) for k in (1, -1) for i1 in (1, -1) for j2 in (1, -1)}
+    i0_specs = {m_specification(s, model.family(s)[0]).values for s in i0_states}
+    first_triad = _site_mask(Triad.I.sites)
+    triple_detected = {state for state, family in model.assignment if _detecting(family, first_triad)}
+    tally = Counter(dist.masses.values())
+    return [
+        ("deterministic", "yes", _yes(is_deterministic(model))),
+        ("distinct d-distributions", "8", str(counts.d_distributions)),
+        ("distinct m-specifications", "96", str(counts.m_specifications)),
+        ("distinct combinations", "48", str(counts.combinations)),
+        (
             "I0 m-specifications are the 8 patterns (i1,0,k;0,j2,k;0,j3,k) with i1*j2*j3=+1",
             "match",
-            "match" if {m.values for m in i0_specs} == expected_specs else "mismatch",
-        )
-    )
-
-    z_dets = _single_detections(model, Axis.Z)
-    xy_dets = _single_detections(model, Axis.X) | _single_detections(model, Axis.Y)
-    checks.append(ReproCheck("detection probability, z singles", "1", _f(max(z_dets)) if len(z_dets) == 1 else "mixed"))
-    checks.append(ReproCheck("detection probability, x/y singles", "1/2", _f(max(xy_dets)) if len(xy_dets) == 1 else "mixed"))
-
-    # triple detection under the first triad happens exactly on the I0 class
-    triad_i = Triad.I.context
-    detecting = {
-        state
-        for state, family in model.assignment
-        if all(family[0].detects(s) for s in triad_i.sites)
-    }
-    checks.append(
-        ReproCheck(
+            "match" if i0_specs == patterns else "mismatch",
+        ),
+        ("detection probability, z singles", "1", _singles(model, "z")),
+        ("detection probability, x/y singles", "1/2", _singles(model, "xy")),
+        (
             "states triple-detected in the first triad",
             "the 16 states of I0",
-            "the 16 states of I0" if detecting == set(i0_states) else f"{len(detecting)} other states",
-        )
-    )
-    checks.append(
-        ReproCheck(
-            "conditional probability of the first-triad constraint event",
-            "16/16",
-            f"{16 * _sum_satisfying(model, Triad.I)}/16",
-        )
-    )
-
-    event_ok, triple_ok = _triad_conditionals(model)
-    checks.append(ReproCheck("every triad constraint event is certain on detection", "yes", "yes" if event_ok else "no"))
-    checks.append(ReproCheck("each satisfying outcome triple has conditional 1/4 (4/16)", "yes", "yes" if triple_ok else "no"))
-
-    dist = combination_distribution(model)
-    tally = Counter(dist.masses.values())
-    checks.append(
-        ReproCheck(
+            "the 16 states of I0" if triple_detected == set(i0_states) else f"{len(triple_detected)} other states",
+        ),
+        ("conditional probability of the first-triad constraint event", "16/16", f"{16 * events[Triad.I][0]}/16"),
+        *_event_rows(events, "4/16"),
+        (
             "combination masses",
             "16 at 1/32 and 32 at 1/64",
             f"{tally[Fraction(1, 32)]} at 1/32 and {tally[Fraction(1, 64)]} at 1/64"
             if set(tally) <= {Fraction(1, 32), Fraction(1, 64)}
             else "unexpected masses",
-        )
-    )
-    checks.append(ReproCheck("total combination mass", "1", _f(dist.total_mass)))
-    checks.extend(_check_verifications(model))
-    return checks
-
-
-def _sum_satisfying(model: Model, triad: Triad) -> Fraction:
-    total = Fraction(0)
-    for assign in outcome_assignments(triad.context):
-        if assign.outcomes[0] * assign.outcomes[1] * assign.outcomes[2] == triad.required_sign:
-            total += conditional_probability(model, assign)
-    return total
-
-
-def _reproduce_m1(model: Model) -> list[ReproCheck]:
-    checks = [
-        ReproCheck("deterministic", "no", "no" if not is_deterministic(model) else "yes")
+        ),
+        ("total combination mass", "1", str(dist.total_mass)),
     ]
-    all_u = DDistribution.all_undetected()
-    starred_ok = all(
-        model.family(s) == (all_u,)
-        for el in PartitionElement
-        if el.is_starred
-        for s in partition_classes()[el]
-    )
-    checks.append(ReproCheck("starred-class states are never detected", "yes", "yes" if starred_ok else "no"))
 
-    triple_ok = all(
-        len(model.family(s)) == 3
-        for el in PartitionElement
-        if not el.is_starred
-        for s in partition_classes()[el]
-    )
-    checks.append(ReproCheck("three d-distributions per triple-intersection state", "yes", "yes" if triple_ok else "no"))
 
+def _m1_rows(model: Model) -> list[_Row]:
     counts = census(model)
-    checks.append(
-        ReproCheck(
-            "distinct single-failure d-distributions",
-            "6",
-            str(counts.d_distributions - 1),  # discounting the all-undetected one
-        )
-    )
-    checks.append(ReproCheck("distinct m-specifications (detectable half)", "96", str(counts.m_specifications - 1)))
-
-    element = E.I_II_III
-    restricted = [
-        ("x1 within I&II&III", ("x1",), "2/3"),
-        ("y1 within I&II&III", ("y1",), "1"),
-        ("x1,y2 within I&II&III", ("x1", "y2"), "2/3"),
-        ("x1,x2 within I&II&III", ("x1", "x2"), "1/3"),
-        ("x1,x2,x3 within I&II&III", ("x1", "x2", "x3"), "0"),
-        ("x1,y2,x3 within I&II&III", ("x1", "y2", "x3"), "1/3"),
-        ("x1,y2,y3 within I&II&III", ("x1", "y2", "y3"), "2/3"),
-    ]
-    for name, labels, expected in restricted:
-        actual = detection_probability(model, _ctx(*labels), restrict=element)
-        checks.append(ReproCheck(f"detection probability of {name}", expected, _f(actual)))
-
-    xy_dets = _single_detections(model, Axis.X) | _single_detections(model, Axis.Y)
-    z_dets = _single_detections(model, Axis.Z)
-    checks.append(ReproCheck("overall detection, x/y singles", "5/12", _f(max(xy_dets)) if len(xy_dets) == 1 else "mixed"))
-    checks.append(ReproCheck("overall detection, z singles", "1/2", _f(max(z_dets)) if len(z_dets) == 1 else "mixed"))
-
+    dist = combination_distribution(model)
     occurrences = mspec_occurrences(model)
-    masses = {
-        spec: Fraction(n, 128 * 3)
-        for spec, n in occurrences.items()
-        if not spec.is_all_zero
-    }
-    uniform = set(masses.values()) == {Fraction(1, 192)}
-    checks.append(ReproCheck("mass of each detectable m-specification", "1/192", "1/192" if uniform else "mixed"))
-
-    # first-triad conditionals, counted over distinct m-specifications
-    triad_i = Triad.I
-    detecting_specs = [
-        spec for spec in occurrences if all(spec.value(s) != 0 for s in triad_i.context.sites)
-    ]
-    checks.append(ReproCheck("m-specifications triple-detecting the first triad", "48", str(len(detecting_specs))))
-    per_triple = Counter(
-        tuple(spec.value(s) for s in triad_i.context.sites) for spec in detecting_specs
+    events = _triad_events(model)
+    classes = partition_classes()
+    never = (DDistribution.all_undetected(),)
+    # outcome triples of the m-specifications that detect the whole first triad
+    triples = Counter(
+        tuple(spec.value(s) for s in Triad.I.sites)
+        for spec in occurrences
+        if all(spec.value(s) != 0 for s in Triad.I.sites)
     )
-    satisfying = {
-        outs: n
-        for outs, n in per_triple.items()
-        if outs[0] * outs[1] * outs[2] == triad_i.required_sign
-    }
-    counts_ok = set(satisfying.values()) == {12} and len(satisfying) == 4 == len(per_triple)
-    checks.append(
-        ReproCheck(
+    return [
+        ("deterministic", "no", _yes(is_deterministic(model))),
+        (
+            "starred-class states are never detected",
+            "yes",
+            _yes(all(model.family(s) == never for el in E if el.is_starred for s in classes[el])),
+        ),
+        (
+            "three d-distributions per triple-intersection state",
+            "yes",
+            _yes(all(len(model.family(s)) == 3 for el in E if not el.is_starred for s in classes[el])),
+        ),
+        # discounting the all-undetected d-distribution and m-specification
+        ("distinct single-failure d-distributions", "6", str(counts.d_distributions - 1)),
+        ("distinct m-specifications (detectable half)", "96", str(counts.m_specifications - 1)),
+        *(
+            (
+                f"detection probability of {','.join(labels)} within I&II&III",
+                expected,
+                str(detection_probability(model, MeasurementContext.from_labels(*labels), restrict=E.I_II_III)),
+            )
+            for labels, expected in _M1_RESTRICTED
+        ),
+        ("overall detection, x/y singles", "5/12", _singles(model, "xy")),
+        ("overall detection, z singles", "1/2", _singles(model, "z")),
+        (
+            "mass of each detectable m-specification",
+            "1/192",
+            _same(Fraction(n, 128 * 3) for spec, n in occurrences.items() if not spec.is_all_zero),
+        ),
+        ("m-specifications triple-detecting the first triad", "48", str(sum(triples.values()))),
+        (
             "each satisfying outcome triple occurs in 12/48 of them",
             "yes",
-            "yes" if counts_ok else "no",
-        )
-    )
-    event_ok, triple_ok = _triad_conditionals(model)
-    checks.append(ReproCheck("every triad constraint event is certain on detection", "yes", "yes" if event_ok else "no"))
-    checks.append(ReproCheck("each satisfying outcome triple has conditional 1/4 (12/48)", "yes", "yes" if triple_ok else "no"))
-
-    dist = combination_distribution(model)
-    uniform_combos = set(dist.masses.values()) == {Fraction(1, 96)}
-    checks.append(ReproCheck("distinct combinations", "48", str(len(dist.masses))))
-    checks.append(ReproCheck("combination masses uniform", "1/96 each", "1/96 each" if uniform_combos else "mixed"))
-    checks.append(ReproCheck("mass of the all-undetected marker", "1/2", _f(dist.undetected)))
-    checks.append(ReproCheck("total combination mass", "1", _f(dist.total_mass)))
-    checks.extend(_check_verifications(model))
-    return checks
-
-
-def _reproduce_m2(model: Model) -> list[ReproCheck]:
-    two_u = all(
-        dd.undetected_count == 2 for _, family in model.assignment for dd in family
-    )
-    z_ok = all(
-        dd.detects(site)
-        for _, family in model.assignment
-        for dd in family
-        for site in (Site.from_label("z1"), Site.from_label("z2"), Site.from_label("z3"))
-    )
-    checks = [
-        ReproCheck("every d-distribution has exactly two undetected sites", "yes", "yes" if two_u else "no"),
-        ReproCheck("z sites always detected", "yes", "yes" if z_ok else "no"),
+            _yes(len(triples) == 4 and all(n == 12 and a * b * c == Triad.I.required_sign for (a, b, c), n in triples.items())),
+        ),
+        *_event_rows(events, "12/48"),
+        ("distinct combinations", "48", str(len(dist.masses))),
+        ("combination masses uniform", "1/96 each", _same(f"{m} each" for m in dist.masses.values())),
+        ("mass of the all-undetected marker", "1/2", str(dist.undetected)),
+        ("total combination mass", "1", str(dist.total_mass)),
     ]
+
+
+def _m2_rows(model: Model) -> list[_Row]:
     counts = census(model)
-    checks.append(ReproCheck("distinct m-specifications", "192", str(counts.m_specifications)))
-    checks.append(ReproCheck("distinct combinations", "96", str(counts.combinations)))
-    multiplicities = set(mspec_occurrences(model).values())
-    checks.append(
-        ReproCheck(
-            "pooled occurrence multiplicity of every m-specification",
-            "4",
-            str(max(multiplicities)) if len(multiplicities) == 1 else "mixed",
-        )
-    )
-    checks.extend(_check_verifications(model))
-    return checks
+    ddists = [dd for _, family in model.assignment for dd in family]
+    z_sites = _site_mask(Site.from_label(f"z{n}") for n in (1, 2, 3))
+    return [
+        ("every d-distribution has exactly two undetected sites", "yes", _yes(all(dd.undetected_count == 2 for dd in ddists))),
+        ("z sites always detected", "yes", _yes(_detecting(ddists, z_sites) == ddists)),
+        ("distinct m-specifications", "192", str(counts.m_specifications)),
+        ("distinct combinations", "96", str(counts.combinations)),
+        ("pooled occurrence multiplicity of every m-specification", "4", _same(mspec_occurrences(model).values())),
+    ]
 
 
-_REPRODUCERS = {"M3": _reproduce_m3, "M1": _reproduce_m1, "M2": _reproduce_m2}
+_ROWS: dict[str, Callable[[Model], list[_Row]]] = {"M3": _m3_rows, "M1": _m1_rows, "M2": _m2_rows}
 
 
 def reproduce_section4(selector: str) -> ReproductionReport:
     """Recompute every published count and probability for one built-in model."""
-    if selector not in _REPRODUCERS:
-        raise KeyError(f"unknown model selector {selector!r}; use M3, M1 or M2")
     model = builtin_model(selector)
-    checks = _REPRODUCERS[selector](model)
-    return ReproductionReport(selector, tuple(checks))
+    rows = _ROWS[selector](model) + [
+        (name, "pass", "pass" if verify(model).passed else "fail")
+        for name, verify in (
+            ("adequacy condition holds", verify_ac),
+            ("detection-masking condition holds", verify_dm),
+        )
+    ]
+    return ReproductionReport(selector, tuple(ReproCheck(*row) for row in rows))

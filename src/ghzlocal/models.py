@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .qm import OutcomeAssignment, outcome_assignments, qm_probability
@@ -75,6 +76,12 @@ class DDistribution:
 
     def detects(self, site: Site) -> bool:
         return self.flags[site.index] == DETECTED
+
+    @cached_property
+    def _detected(self) -> int:
+        # bit i set when site i is detected; read only by _detecting, and built
+        # on first use so that parsing a model does not pay for it
+        return sum(1 << i for i, f in enumerate(self.flags) if f == DETECTED)
 
     @property
     def undetected_sites(self) -> tuple[Site, ...]:
@@ -209,6 +216,16 @@ class Model:
 # probabilities
 
 
+def _site_mask(sites: Iterable[Site]) -> int:
+    """Bit i set for each of the (distinct) sites with index i."""
+    return sum(1 << s.index for s in sites)
+
+
+def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution]:
+    """The d-distributions of a family that detect every site of a ``_site_mask``."""
+    return [dd for dd in family if dd._detected & mask == mask]
+
+
 def _context_masses(
     model: Model, context: MeasurementContext
 ) -> tuple[Fraction, dict[tuple[int, ...], Fraction]]:
@@ -218,12 +235,11 @@ def _context_masses(
     outcomes then coincide with the state's values on those sites.
     """
     idxs = tuple(s.index for s in context.sites)
+    mask = _site_mask(context.sites)
     detected = Fraction(0)
     buckets: dict[tuple[int, ...], Fraction] = {}
     for state, family in model.assignment:
-        hits = sum(
-            1 for dd in family if all(dd.flags[i] == DETECTED for i in idxs)
-        )
+        hits = len(_detecting(family, mask))
         if not hits:
             continue
         mass = Fraction(hits, N_STATES * len(family))
@@ -249,12 +265,11 @@ def detection_probability(
         targets = list(partition_classes()[restrict])
     else:
         targets = [restrict]
-    idxs = tuple(s.index for s in context.sites)
+    mask = _site_mask(context.sites)
     total = Fraction(0)
     for state in targets:
         family = model.family(state)
-        hits = sum(1 for dd in family if all(dd.flags[i] == DETECTED for i in idxs))
-        total += Fraction(hits, len(family))
+        total += Fraction(len(_detecting(family, mask)), len(family))
     return total / len(targets)
 
 
@@ -279,10 +294,11 @@ def conditional_probability_by_element(
     """
     families = model.element_families()
     idxs = tuple(s.index for s in assign.context.sites)
+    mask = _site_mask(assign.context.sites)
     numerator = Fraction(0)
     denominator = Fraction(0)
     for element, family in families.items():
-        hits = sum(1 for dd in family if all(dd.flags[i] == DETECTED for i in idxs))
+        hits = len(_detecting(family, mask))
         if not hits:
             continue
         weight = Fraction(hits, len(family))
@@ -378,10 +394,8 @@ def verify_dm(model: Model) -> VerificationReport:
     failures: list[Failure] = []
     for state, family in model.assignment:
         for triad in classify(state).violated:
-            idxs = tuple(s.index for s in triad.sites)
-            for ddist in family:
-                if all(ddist.flags[i] == DETECTED for i in idxs):
-                    failures.append(DmFailure(state, ddist, triad))
+            for ddist in _detecting(family, _site_mask(triad.sites)):
+                failures.append(DmFailure(state, ddist, triad))
     return VerificationReport("dm", tuple(failures))
 
 

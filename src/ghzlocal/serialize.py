@@ -32,6 +32,18 @@ class FormatError(ValueError):
     """A document (model file, search spec, ...) does not match its schema."""
 
 
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass, but true/false are not integers in a document
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_schema_version(data: dict[str, Any]) -> None:
+    """An absent schema_version is read as the current one; any other value is rejected."""
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise FormatError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+
+
 def fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -51,11 +63,11 @@ def microstate_to_json(state: MicroState) -> list[int]:
 
 
 def microstate_from_json(values: Any) -> MicroState:
-    if not isinstance(values, list) or len(values) != 9:
+    if not isinstance(values, list) or len(values) != 9 or not all(_is_int(v) for v in values):
         raise FormatError(f"microstate must be a JSON array of 9 integers: {values!r}")
     try:
-        return MicroState(tuple(int(v) for v in values))
-    except (TypeError, ValueError) as exc:
+        return MicroState(tuple(values))
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -92,6 +104,7 @@ def model_to_json(model: Model) -> dict[str, Any]:
 def model_from_json(data: Any) -> Model:
     if not isinstance(data, dict):
         raise FormatError("model document must be a JSON object")
+    _check_schema_version(data)
     name = data.get("name")
     states = data.get("states")
     if not isinstance(name, str) or not isinstance(states, list):
@@ -261,11 +274,6 @@ def search_spec_to_json(spec: SearchSpec) -> dict[str, Any]:
     }
 
 
-def _is_int(value: Any) -> bool:
-    # bool is an int subclass, but true/false are not integers in a document
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _optional_int(data: dict[str, Any], key: str) -> Optional[int]:
     value = data.get(key)
     if value is not None and not _is_int(value):
@@ -283,6 +291,7 @@ def _flag(data: dict[str, Any], key: str, default: bool) -> bool:
 def search_spec_from_json(data: Any) -> SearchSpec:
     if not isinstance(data, dict):
         raise FormatError("search spec must be a JSON object")
+    _check_schema_version(data)
     unknown = set(data) - _SEARCH_SPEC_KEYS
     if unknown:
         raise FormatError(f"unknown search spec keys: {sorted(unknown)}")

@@ -14,7 +14,9 @@ from ghzlocal import (
     XY_SITES,
     DDistribution,
     MeasurementContext,
+    Model,
     PartitionElement,
+    Site,
     Triad,
     census,
     detection_probability,
@@ -23,6 +25,7 @@ from ghzlocal import (
     partition_classes,
     reproduce_section4,
 )
+from ghzlocal import builtin
 from ghzlocal.builtin import (
     M1_SINGLE_UNDETECTED,
     M2_UNDETECTED_PAIRS,
@@ -238,3 +241,41 @@ def test_unknown_selector_raises():
         builtin_model("M9")
     with pytest.raises(KeyError):
         reproduce_section4("M9")
+
+
+def m3_with_exposed_triple_intersection() -> Model:
+    """M3 with the I&II&III class always fully detected: breaks adequacy and masking."""
+    families = {
+        element: (DDistribution.with_undetected(Site.from_label(lb) for lb in labels),)
+        for element, labels in M3_UNDETECTED.items()
+    }
+    families[PartitionElement.I_II_III] = (DDistribution.all_detected(),)
+    return Model.from_element_families("M3-exposed", families)
+
+
+EXPOSED_FAILS = {"adequacy condition holds": "fail", "detection-masking condition holds": "fail"}
+
+
+@pytest.mark.parametrize(
+    ("selector", "fed", "named_rows"),
+    [
+        ("M3", "M1", {"deterministic": "no", "detection probability, z singles": "1/2"}),
+        ("M3", "M2", {"deterministic": "no", "distinct m-specifications": "192"}),
+        ("M3", "exposed", EXPOSED_FAILS),
+        ("M1", "M3", {"deterministic": "yes", "mass of the all-undetected marker": "0"}),
+        ("M1", "M2", {"starred-class states are never detected": "no", "overall detection, x/y singles": "2/3"}),
+        ("M1", "exposed", EXPOSED_FAILS),
+        ("M2", "M3", {"every d-distribution has exactly two undetected sites": "no", "distinct combinations": "48"}),
+        ("M2", "M1", {"z sites always detected": "no", "distinct m-specifications": "97"}),
+        ("M2", "exposed", EXPOSED_FAILS),
+    ],
+)
+def test_report_rows_are_computed_from_the_model(monkeypatch, selector, fed, named_rows):
+    model = m3_with_exposed_triple_intersection() if fed == "exposed" else builtin_model(fed)
+    monkeypatch.setattr(builtin, "builtin_model", lambda _selector: model)
+    report = reproduce_section4(selector)
+    assert not report.passed
+    actual = {c.name: c for c in report.checks}
+    for name, value in named_rows.items():
+        assert not actual[name].passed, name
+        assert actual[name].actual == value, name

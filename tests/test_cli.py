@@ -76,6 +76,15 @@ def test_verify_invalid_json_file(capsys, tmp_path):
     assert code == 3
 
 
+def test_verify_unsupported_schema_version_is_parse_error(capsys, tmp_path, m3):
+    path = tmp_path / "m3-v99.json"
+    path.write_text(json.dumps({**model_to_json(m3), "schema_version": 99}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert out == ""
+    assert "schema_version" in err
+
+
 def test_verify_counts_flag(capsys):
     code, _, _ = run(capsys, "verify", "M2", "--counts", "192,96")
     assert code == 0

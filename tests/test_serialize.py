@@ -51,6 +51,10 @@ def test_microstate_round_trip():
     assert microstate_from_json(microstate_to_json(state)) == state
     with pytest.raises(FormatError):
         microstate_from_json([1, 2, 3])
+    # only JSON integers; nothing is coerced to one
+    for bad in ("1", True, -1.7, 1.0, None):
+        with pytest.raises(FormatError):
+            microstate_from_json([bad] + [1] * 8)
 
 
 def test_model_round_trip(m3, m1, m2):
@@ -62,13 +66,24 @@ def test_model_round_trip(m3, m1, m2):
         assert again == model
 
 
-def test_model_from_json_rejects_bad_documents():
+def test_model_from_json_rejects_bad_documents(m3):
     with pytest.raises(FormatError):
         model_from_json([])
     with pytest.raises(FormatError):
         model_from_json({"name": "x", "states": [{"values": [1] * 9}]})
     with pytest.raises(FormatError):
         model_from_json({"name": "x", "states": []})
+    document = model_to_json(m3)
+    del document["schema_version"]
+    assert model_from_json(document) == m3
+    for version in (99, 0, True, "1", 1.0, None):
+        with pytest.raises(FormatError):
+            model_from_json({**model_to_json(m3), "schema_version": version})
+    for bad in ("1", True, -1.7):
+        document = model_to_json(m3)
+        document["states"][0]["values"][0] = bad
+        with pytest.raises(FormatError):
+            model_from_json(document)
 
 
 def test_context_parsing():
@@ -156,6 +171,9 @@ def test_search_spec_rejects_bad_documents():
         {"failure_count": 3, "z_always_detected": 0},
         {"failure_count": 3, "per_element_uniformity": 1},
         {"failure_count": 3, "star_elements_all_undetected": None},
+        {"failure_count": 3, "schema_version": 99},
+        {"failure_count": 3, "schema_version": True},
+        {"failure_count": 3, "schema_version": "1"},
     ):
         with pytest.raises(FormatError):
             search_spec_from_json(document)
