@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from . import serialize
 from .builtin import BUILTIN_SELECTORS, builtin_model, reproduce_section4
@@ -30,7 +31,7 @@ from .models import (
     verify_dm,
 )
 from .qm import OutcomeAssignment, outcome_assignments, qm_probability
-from .search import ExpectedCounts, UnboundedSearchError, search_models, verify_counts
+from .search import ExpectedCounts, SearchSpec, UnboundedSearchError, search_models, verify_counts
 from .state_space import PartitionElement, classify, enumerate_ghz_microstates
 
 EXIT_OK = 0
@@ -50,7 +51,8 @@ class InputError(Exception):
 @dataclass(frozen=True)
 class CommandOutcome:
     exit_code: int
-    payload: str = ""
+    # the whole output, or its lines, each written and flushed as it is produced
+    payload: Union[str, Iterable[str]] = ""
 
 
 def _load_model(source: str) -> Model:
@@ -253,27 +255,29 @@ def cmd_search(args: argparse.Namespace) -> CommandOutcome:
         spec.validate()
     except (UnboundedSearchError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    found = list(search_models(spec))
-    if args.format == "json":
-        lines = [
-            json.dumps(serialize.model_to_json(m), sort_keys=True, separators=(",", ":"))
-            for m in found
-        ]
-        lines.append(json.dumps(
-            {"schema_version": serialize.SCHEMA_VERSION, "models_found": len(found)},
+    return CommandOutcome(EXIT_OK, _search_lines(spec, args.format == "json"))
+
+
+def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
+    """One line per model as the search yields it, then the count."""
+    found = 0
+    for found, model in enumerate(search_models(spec), start=1):
+        if as_json:
+            yield json.dumps(serialize.model_to_json(model), sort_keys=True, separators=(",", ":"))
+        else:
+            counts = census(model)
+            yield (
+                f"{model.name}: d-distributions={counts.d_distributions}"
+                f" m-specifications={counts.m_specifications}"
+                f" combinations={counts.combinations}"
+            )
+    if as_json:
+        yield json.dumps(
+            {"schema_version": serialize.SCHEMA_VERSION, "models_found": found},
             sort_keys=True, separators=(",", ":"),
-        ))
-        return CommandOutcome(EXIT_OK, "\n".join(lines))
-    lines = []
-    for model in found:
-        counts = census(model)
-        lines.append(
-            f"{model.name}: d-distributions={counts.d_distributions}"
-            f" m-specifications={counts.m_specifications}"
-            f" combinations={counts.combinations}"
         )
-    lines.append(f"models found: {len(found)}")
-    return CommandOutcome(EXIT_OK, "\n".join(lines))
+    else:
+        yield f"models found: {found}"
 
 
 # --------------------------------------------------------------------------- reproduce
@@ -374,16 +378,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if outcome.payload:
+    if outcome.payload:  # an iterable of lines is always written
         if args.output:
             try:
-                Path(args.output).write_text(outcome.payload + "\n", encoding="utf-8")
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    _write(outcome.payload, handle)
             except OSError as exc:
                 print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
                 return EXIT_IO
         else:
-            print(outcome.payload)
+            try:
+                _write(outcome.payload, sys.stdout)
+            except BrokenPipeError:
+                # the reader stopped early (`search ... | head`); point stdout at
+                # /dev/null so that the flush at exit cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return EXIT_IO
     return outcome.exit_code
+
+
+def _write(payload: Union[str, Iterable[str]], stream: TextIO) -> None:
+    for line in [payload] if isinstance(payload, str) else payload:
+        print(line, file=stream, flush=True)
 
 
 def main_entry() -> None:

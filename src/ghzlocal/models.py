@@ -3,7 +3,15 @@
 A model assigns to each of the 128 GHZ-compatible microstates a nonempty set
 of detection distributions (d-distributions): D/U flags for all nine sites.
 Probabilities follow the uniform double average, 1/128 per state and 1/d per
-d-distribution within a state; weights are implicit, never stored.
+d-distribution within a state.
+
+Every bulk query reads one integer view of the model, built on first use and
+cached on the instance: each state as a 9-bit sign mask (bit i set where the
+value is -1), each d-distribution as a 9-bit detect mask (bit i set where
+site i is detected), and each pair's weight as the integer L // d over
+``128 * L``, L the lcm of the family sizes.  A context is a site mask C; a
+pair detects it when ``detect & C == C``, and its outcome on C is
+``sign & C``.  Exact ``Fraction``s are built only from the final integer sums.
 
 Measured outcomes with 0 at undetected sites form an m-specification; a pair
 (state, d-distribution) fixes it with no reference to any measurement context,
@@ -13,10 +21,11 @@ writing D for 0 converts m-specifications to Szabo-Fine combinations.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .qm import OutcomeAssignment, outcome_assignments, qm_probability
@@ -77,11 +86,11 @@ class DDistribution:
     def detects(self, site: Site) -> bool:
         return self.flags[site.index] == DETECTED
 
-    @cached_property
+    @property
     def _detected(self) -> int:
-        # bit i set when site i is detected; read only by _detecting, and built
-        # on first use so that parsing a model does not pay for it
-        return sum(1 << i for i, f in enumerate(self.flags) if f == DETECTED)
+        # computed on first use, once per distinct flags, so that parsing a
+        # model does not pay for it
+        return _detect_mask(self.flags)
 
     @property
     def undetected_sites(self) -> tuple[Site, ...]:
@@ -113,6 +122,12 @@ class MSpecification:
     @property
     def is_all_zero(self) -> bool:
         return not any(self.values)
+
+
+@lru_cache(maxsize=512)  # one entry per valid flags tuple
+def _detect_mask(flags: tuple[str, ...]) -> int:
+    """Bit i set when site i is detected."""
+    return sum(1 << i for i, f in enumerate(flags) if f == DETECTED)
 
 
 def m_specification(state: MicroState, ddist: DDistribution) -> MSpecification:
@@ -183,13 +198,30 @@ class Model:
         except KeyError:
             raise ValueError(f"{state!r} is not a GHZ-compatible microstate") from None
 
-    @property
+    @cached_property
     def _family_map(self) -> dict[MicroState, tuple[DDistribution, ...]]:
-        cached = self.__dict__.get("_family_map_cache")
-        if cached is None:
-            cached = dict(self.assignment)
-            self.__dict__["_family_map_cache"] = cached
-        return cached
+        return dict(self.assignment)
+
+    @cached_property
+    def _core(self) -> "_Core":
+        """The integer view of the module docstring, built by the first bulk query."""
+        lcm = math.lcm(*{len(family) for _, family in self.assignment})
+        pairs = []
+        groups: dict[int, dict[int, int]] = {}
+        for (signs, _), (_, family) in zip(_state_table(), self.assignment):
+            weight = lcm // len(family)
+            for ddist in family:
+                detect = ddist._detected
+                outcome = signs & detect
+                pairs.append((detect, outcome, weight))
+                # states that agree on the detected sites share one entry
+                group = groups.setdefault(detect, {})
+                group[outcome] = group.get(outcome, 0) + weight
+        return _Core(
+            N_STATES * lcm,
+            tuple(pairs),
+            tuple((detect, sum(g.values()), tuple(g.items())) for detect, g in groups.items()),
+        )
 
     def pairs(self) -> Iterator[tuple[MicroState, DDistribution, Fraction]]:
         """All (state, d-distribution, weight) triples; weights sum to 1."""
@@ -212,8 +244,15 @@ class Model:
         return f"Model(name={self.name!r}, states={len(self.assignment)})"
 
 
-# ---------------------------------------------------------------------------
-# probabilities
+class _Core(NamedTuple):
+    """Integer view of a model; every weight is over ``scale``."""
+
+    scale: int
+    # per (state, d-distribution), in canonical order: its m-specification as
+    # (detect mask, sign mask & detect mask), and its weight
+    pairs: tuple[tuple[int, int, int], ...]
+    # (detect mask, its total weight, ((sign mask & detect mask, weight), ...))
+    groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
 
 
 def _site_mask(sites: Iterable[Site]) -> int:
@@ -221,31 +260,44 @@ def _site_mask(sites: Iterable[Site]) -> int:
     return sum(1 << s.index for s in sites)
 
 
+def _outcome_key(assign: OutcomeAssignment) -> int:
+    """Bit i set where the assignment puts -1 on site i: a state's ``sign & C``."""
+    return sum(1 << s.index for s, v in assign.items() if v < 0)
+
+
+@lru_cache(maxsize=1)
+def _state_table() -> tuple[tuple[int, tuple[tuple[Triad, int], ...]], ...]:
+    """Per GHZ state, in canonical order: its sign mask, and the site mask of
+    each triad it violates."""
+    return tuple(
+        (
+            sum(1 << i for i, v in enumerate(state.values) if v < 0),
+            tuple((triad, _site_mask(triad.sites)) for triad in classify(state).violated),
+        )
+        for state in enumerate_ghz_microstates()
+    )
+
+
 def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution]:
     """The d-distributions of a family that detect every site of a ``_site_mask``."""
     return [dd for dd in family if dd._detected & mask == mask]
 
 
-def _context_masses(
-    model: Model, context: MeasurementContext
-) -> tuple[Fraction, dict[tuple[int, ...], Fraction]]:
-    """Detected mass of a context and its split by outcome tuple.
+# ---------------------------------------------------------------------------
+# probabilities
 
-    A pair counts as detected only when every selected site carries D; its
-    outcomes then coincide with the state's values on those sites.
-    """
-    idxs = tuple(s.index for s in context.sites)
-    mask = _site_mask(context.sites)
-    detected = Fraction(0)
-    buckets: dict[tuple[int, ...], Fraction] = {}
-    for state, family in model.assignment:
-        hits = len(_detecting(family, mask))
-        if not hits:
-            continue
-        mass = Fraction(hits, N_STATES * len(family))
-        detected += mass
-        key = tuple(state.values[i] for i in idxs)
-        buckets[key] = buckets.get(key, Fraction(0)) + mass
+
+def _context_masses(model: Model, mask: int) -> tuple[int, dict[int, int]]:
+    """Detected weight of a context, given as a ``_site_mask``, and its split by
+    outcome, keyed by ``sign & mask``; weights are over ``model._core.scale``."""
+    detected = 0
+    buckets: dict[int, int] = {}
+    for detect, total, entries in model._core.groups:
+        if detect & mask == mask:
+            detected += total
+            for signs, weight in entries:
+                key = signs & mask
+                buckets[key] = buckets.get(key, 0) + weight
     return detected, buckets
 
 
@@ -259,13 +311,13 @@ def detection_probability(
     ``restrict`` limits the uniform state average to one microstate or to one
     partition class; by default all 128 states contribute.
     """
+    mask = _site_mask(context.sites)
     if restrict is None:
-        targets: list[MicroState] = enumerate_ghz_microstates()
-    elif isinstance(restrict, PartitionElement):
+        return Fraction(_context_masses(model, mask)[0], model._core.scale)
+    if isinstance(restrict, PartitionElement):
         targets = list(partition_classes()[restrict])
     else:
         targets = [restrict]
-    mask = _site_mask(context.sites)
     total = Fraction(0)
     for state in targets:
         family = model.family(state)
@@ -275,12 +327,12 @@ def detection_probability(
 
 def conditional_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Probability of the outcomes given that all their sites are detected."""
-    detected, buckets = _context_masses(model, assign.context)
+    detected, buckets = _context_masses(model, _site_mask(assign.context.sites))
     if detected == 0:
         raise UndefinedConditionalError(
             f"model {model.name!r} never detects context {assign.context.label}"
         )
-    return buckets.get(assign.outcomes, Fraction(0)) / detected
+    return Fraction(buckets.get(_outcome_key(assign), 0), detected)
 
 
 def conditional_probability_by_element(
@@ -317,10 +369,8 @@ def conditional_probability_by_element(
 
 def total_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Overall display probability: detection times conditional, or 0."""
-    detected = detection_probability(model, assign.context)
-    if detected == 0:
-        return Fraction(0)
-    return detected * conditional_probability(model, assign)
+    _, buckets = _context_masses(model, _site_mask(assign.context.sites))
+    return Fraction(buckets.get(_outcome_key(assign), 0), model._core.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -371,30 +421,46 @@ def verify_ac(model: Model) -> VerificationReport:
 
     Every context with positive detected mass is checked for every outcome
     assignment, exactly; contexts the model never detects are reported as
-    skipped, not failed.
+    skipped, not failed.  ``n / detected == q`` is tested as
+    ``n * q.denominator == q.numerator * detected``.
     """
     failures: list[Failure] = []
     skipped: list[str] = []
-    for context in enumerate_contexts():
-        detected, buckets = _context_masses(model, context)
+    for context, mask, rows in _ac_table():
+        detected, buckets = _context_masses(model, mask)
         if detected == 0:
             skipped.append(context.label)
             continue
-        for assign in outcome_assignments(context):
-            actual = buckets.get(assign.outcomes, Fraction(0)) / detected
-            expected = qm_probability(assign)
-            if actual != expected:
-                failures.append(AcFailure(context, assign, expected, actual))
+        for assign, key, expected in rows:
+            n = buckets.get(key, 0)
+            if n * expected.denominator != expected.numerator * detected:
+                failures.append(AcFailure(context, assign, expected, Fraction(n, detected)))
     return VerificationReport("ac", tuple(failures), tuple(skipped))
+
+
+@lru_cache(maxsize=1)
+def _ac_table() -> tuple[
+    tuple[MeasurementContext, int, tuple[tuple[OutcomeAssignment, int, Fraction], ...]], ...
+]:
+    """Per context: its site mask and, per outcome assignment, its outcome key
+    and quantum probability."""
+    return tuple(
+        (
+            context,
+            _site_mask(context.sites),
+            tuple((a, _outcome_key(a), qm_probability(a)) for a in outcome_assignments(context)),
+        )
+        for context in enumerate_contexts()
+    )
 
 
 def verify_dm(model: Model) -> VerificationReport:
     """Detection masking: a state violating a triad constraint must leave at
     least one site of that triad undetected, in every d-distribution."""
     failures: list[Failure] = []
-    for state, family in model.assignment:
-        for triad in classify(state).violated:
-            for ddist in _detecting(family, _site_mask(triad.sites)):
+    for (state, family), (_, violated) in zip(model.assignment, _state_table()):
+        for triad, mask in violated:
+            for ddist in _detecting(family, mask):
                 failures.append(DmFailure(state, ddist, triad))
     return VerificationReport("dm", tuple(failures))
 
@@ -409,6 +475,8 @@ def is_deterministic(model: Model) -> bool:
 
 _SLOT_ORDER = {"+1": 0, "-1": 1, "D": 2}
 _XY_INDEX = tuple(s.index for s in XY_SITES)
+_XY_MASK = _site_mask(XY_SITES)
+_SLOT_NAMES = {+1: "+1", -1: "-1", 0: "D"}
 _TRIAD_SLOTS = {
     triad: tuple(XY_SITES.index(s) for s in triad.sites) for triad in Triad
 }
@@ -469,16 +537,28 @@ class CombinationDistribution:
         return sorted(self.masses.items(), key=lambda item: item[0].sort_key())
 
 
+def _slot(detect: int, signs: int, i: int) -> int:
+    """Outcome at site i of the m-specification with the given masks: 0, +1 or -1."""
+    return 0 if not detect >> i & 1 else -1 if signs >> i & 1 else +1
+
+
+@lru_cache(maxsize=729)  # one entry per combination
+def _combination(detect: int, signs: int) -> Combination:
+    return Combination(tuple(_SLOT_NAMES[_slot(detect, signs, i)] for i in _XY_INDEX))
+
+
 def combination_distribution(model: Model) -> CombinationDistribution:
-    masses: dict[Combination, Fraction] = {}
-    undetected = Fraction(0)
-    for state, ddist, weight in model.pairs():
-        combo = to_combination(m_specification(state, ddist))
-        if combo is None:
-            undetected += weight
+    core = model._core
+    weights: dict[tuple[int, int], int] = {}  # (detect, sign) masks on the x/y sites
+    undetected = 0
+    for detect, signs, weight in core.pairs:
+        if detect:  # a z-only d-distribution still yields the all-D combination
+            key = (detect & _XY_MASK, signs & _XY_MASK)
+            weights[key] = weights.get(key, 0) + weight
         else:
-            masses[combo] = masses.get(combo, Fraction(0)) + weight
-    return CombinationDistribution(masses, undetected)
+            undetected += weight
+    masses = {_combination(*key): Fraction(w, core.scale) for key, w in weights.items()}
+    return CombinationDistribution(masses, Fraction(undetected, core.scale))
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +575,24 @@ class CensusRecord(NamedTuple):
 
 
 def census(model: Model) -> CensusRecord:
-    ddists: set[DDistribution] = set()
-    mspecs: set[MSpecification] = set()
-    combos: set[Combination] = set()
-    for state, family in model.assignment:
-        for ddist in family:
-            ddists.add(ddist)
-            mspec = m_specification(state, ddist)
-            mspecs.add(mspec)
-            combo = to_combination(mspec)
-            if combo is not None:
-                combos.add(combo)
+    """A d-distribution is its detect mask, an m-specification its
+    (detect, sign & detect) masks, a combination those masks on the x/y sites."""
+    ddists: set[int] = set()
+    mspecs: set[tuple[int, int]] = set()
+    combos: set[tuple[int, int]] = set()
+    for detect, signs, _ in model._core.pairs:
+        ddists.add(detect)
+        mspecs.add((detect, signs))
+        if detect:
+            combos.add((detect & _XY_MASK, signs & _XY_MASK))
     return CensusRecord(len(ddists), len(mspecs), len(combos))
 
 
 def mspec_occurrences(model: Model) -> Counter[MSpecification]:
     """How many (state, d-distribution) pairs produce each m-specification."""
+    counts: Counter[tuple[int, int]] = Counter(
+        (detect, signs) for detect, signs, _ in model._core.pairs
+    )
     return Counter(
-        m_specification(state, ddist)
-        for state, family in model.assignment
-        for ddist in family
+        {MSpecification(tuple(_slot(*key, i) for i in range(9))): n for key, n in counts.items()}
     )

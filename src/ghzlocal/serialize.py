@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -48,7 +49,14 @@ def fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def fraction_from_str(text: str) -> Fraction:
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def fraction_from_str(text: Any) -> Fraction:
+    """Read an exact "p/q" (or integer "p") string; decimals, exponents,
+    whitespace and non-strings are a FormatError."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise FormatError(f"bad rational {text!r}; expected an exact 'p/q' string")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

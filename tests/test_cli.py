@@ -1,7 +1,12 @@
 """CLI contract: exit codes, output schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from ghzlocal import cli
 from ghzlocal.cli import main
 from ghzlocal.serialize import model_to_json
 
@@ -213,6 +218,45 @@ def test_search_spec_with_bool_for_int_is_parse_error(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "failure_count" in err
+
+
+def test_search_writes_each_model_before_the_next_is_built(capsys, tmp_path, monkeypatch, m3, m1):
+    spec = write_spec(tmp_path, "m3shape.json", failure_count=3, ddists_per_state=1)
+    target = tmp_path / "found.jsonl"
+    line = {m.name: json.dumps(model_to_json(m), sort_keys=True, separators=(",", ":")) + "\n" for m in (m3, m1)}
+    for output in ((), ("--output", str(target))):
+        written = []
+
+        def search(spec):
+            yield m3
+            written.append(target.read_text() if output else capsys.readouterr().out)
+            yield m1
+
+        monkeypatch.setattr(cli, "search_models", search)
+        code, out, _ = run(capsys, "search", spec, "--format", "json", *output)
+        assert code == 0
+        assert written == [line["M3"]]
+        summary = '{"models_found":2,"schema_version":1}\n'
+        assert (target.read_text() if output else written[0] + out) == line["M3"] + line["M1"] + summary
+
+
+def test_search_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
+    # an unbounded stream (10,884,540,241 models) read for one line, as by `| head -1`
+    spec = write_spec(tmp_path, "m3shape.json", failure_count=3, ddists_per_state=1)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ghzlocal", "search", spec, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["name"] == "model-0001"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 3
+    assert err == b""
 
 
 def test_search_limit_flag_overrides(capsys, tmp_path):

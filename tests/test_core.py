@@ -1,0 +1,151 @@
+"""The integer core of models.py against plain Fraction loops.
+
+Every function that reads the compiled view of a model is checked against a
+reference that walks ``Model.pairs()`` with ``Fraction`` weights and builds
+``m_specification`` / ``to_combination`` objects directly.  The random models
+are per-state (non-uniform), with family sizes 1 to 5 (so the common weight
+denominator reaches 128 * 60), z-only and all-undetected d-distributions, and
+all-detected d-distributions injected into up to eight states.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ghzlocal import (
+    DDistribution,
+    Model,
+    UndefinedConditionalError,
+    census,
+    classify,
+    combination_distribution,
+    conditional_probability,
+    detection_probability,
+    enumerate_contexts,
+    enumerate_ghz_microstates,
+    m_specification,
+    outcome_assignments,
+    qm_probability,
+    to_combination,
+    total_probability,
+    verify_ac,
+    verify_dm,
+)
+from ghzlocal.models import AcFailure, DmFailure, mspec_occurrences
+
+STATES = enumerate_ghz_microstates()
+ALL_DETECTED = (1 << 9) - 1
+Z_BITS = (2, 5, 8)  # z1, z2, z3 in canonical site order
+
+
+def ddist(mask: int) -> DDistribution:
+    return DDistribution(tuple("D" if mask >> i & 1 else "U" for i in range(9)))
+
+
+@st.composite
+def random_models(draw) -> Model:
+    # a small pool of d-distributions makes never-detected (skipped) contexts
+    # likely; it always holds the all-undetected and one z-only distribution
+    z_only = sum(1 << b for b in draw(st.sets(st.sampled_from(Z_BITS), min_size=1)))
+    drawn = draw(st.lists(st.integers(0, ALL_DETECTED), min_size=3, max_size=10))
+    pool = sorted({0, z_only, *drawn})
+    if len(pool) < 5:
+        pool += [m for m in (ALL_DETECTED, 1, 2, 4, 8) if m not in pool][: 5 - len(pool)]
+    # every size 1..5 occurs, so the lcm of the family sizes is 60
+    sizes = draw(st.permutations(list(range(1, 6)) + [draw(st.integers(1, 5)) for _ in STATES[5:]]))
+    families = [
+        draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True)) for n in sizes
+    ]
+    for i in draw(st.sets(st.integers(0, len(STATES) - 1), max_size=8)):
+        if ALL_DETECTED not in families[i]:
+            families[i][0] = ALL_DETECTED
+    return Model.from_state_map(
+        "random", {s: [ddist(m) for m in family] for s, family in zip(STATES, families)}
+    )
+
+
+def reference(model: Model) -> dict:
+    """Everything the core computes, from Fraction-weighted pairs."""
+    pairs = list(model.pairs())
+    ac_failures, skipped = [], []
+    detection, masses = {}, {}
+    for context in enumerate_contexts():
+        idx = [s.index for s in context.sites]
+        detected = Fraction(0)
+        buckets: dict = {}
+        for state, dd, weight in pairs:
+            if all(dd.flags[i] == "D" for i in idx):
+                detected += weight
+                key = tuple(state.values[i] for i in idx)
+                buckets[key] = buckets.get(key, Fraction(0)) + weight
+        detection[context] = detected
+        if not detected:
+            skipped.append(context.label)
+        for assign in outcome_assignments(context):
+            masses[assign] = buckets.get(assign.outcomes, Fraction(0))
+            if detected and masses[assign] / detected != qm_probability(assign):
+                ac_failures.append(
+                    AcFailure(context, assign, qm_probability(assign), masses[assign] / detected)
+                )
+    dm_failures = [
+        DmFailure(state, dd, triad)
+        for state, family in model.assignment
+        for triad in classify(state).violated
+        for dd in family
+        if all(dd.detects(site) for site in triad.sites)
+    ]
+    combos: dict = {}
+    undetected = Fraction(0)
+    for state, dd, weight in pairs:
+        combo = to_combination(m_specification(state, dd))
+        if combo is None:
+            undetected += weight
+        else:
+            combos[combo] = combos.get(combo, Fraction(0)) + weight
+    mspecs = Counter(m_specification(state, dd) for state, dd, _ in pairs)
+    return {
+        "ac": (tuple(ac_failures), tuple(skipped)),
+        "dm": tuple(dm_failures),
+        "census": (len({dd for _, dd, _ in pairs}), len(mspecs), len(combos)),
+        "combinations": (list(combos.items()), undetected),
+        "mspecs": list(mspecs.items()),
+        "detection": detection,
+        "masses": masses,
+    }
+
+
+def check_against_reference(model: Model) -> None:
+    ref = reference(model)
+    ac = verify_ac(model)
+    assert (ac.failures, ac.skipped) == ref["ac"]
+    assert verify_dm(model).failures == ref["dm"]
+    assert tuple(census(model)) == ref["census"]
+    dist = combination_distribution(model)
+    assert (list(dist.masses.items()), dist.undetected) == ref["combinations"]
+    assert list(mspec_occurrences(model).items()) == ref["mspecs"]
+    for context, detected in ref["detection"].items():
+        assert detection_probability(model, context) == detected
+    for assign, mass in ref["masses"].items():
+        assert total_probability(model, assign) == mass
+        detected = ref["detection"][assign.context]
+        if detected:
+            assert conditional_probability(model, assign) == mass / detected
+        else:
+            with pytest.raises(UndefinedConditionalError):
+                conditional_probability(model, assign)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=random_models())
+def test_core_matches_fraction_loops_on_random_models(model):
+    check_against_reference(model)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["m3", "m1", "m2", "all_detected_model", "all_undetected_model"]
+)
+def test_core_matches_fraction_loops_on_fixed_models(fixture, request):
+    check_against_reference(request.getfixturevalue(fixture))

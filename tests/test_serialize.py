@@ -1,16 +1,22 @@
 """Serialization round trips and schema validation."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzlocal import (
+    DDistribution,
     MeasurementContext,
     MicroState,
+    Model,
     OutcomeAssignment,
     SearchSpec,
     Site,
     combination_distribution,
+    model_m3,
     verify_ac,
     verify_dm,
 )
@@ -20,6 +26,7 @@ from ghzlocal.serialize import (
     assignment_to_json,
     combinations_to_csv,
     combinations_to_json,
+    ddistribution_from_json,
     fraction_from_str,
     fraction_to_str,
     microstate_from_json,
@@ -44,6 +51,10 @@ def test_fraction_strings():
         fraction_from_str("1/0")
     with pytest.raises(FormatError):
         fraction_from_str("abc")
+    # exact p/q text only: no decimals, exponents, padding, and no non-strings
+    for bad in ("0.5", "1e-3", "1/2.0", " 1/2", "1/-2", "1_000/3", [1], None, 1, Fraction(1, 2)):
+        with pytest.raises(FormatError):
+            fraction_from_str(bad)
 
 
 def test_microstate_round_trip():
@@ -184,3 +195,53 @@ def test_repro_report_json():
     assert document["model"] == "M3"
     assert document["pass"] is True
     assert all(set(c) == {"name", "expected", "actual", "pass"} for c in document["checks"])
+
+
+# --------------------------------------------------------------------------- fuzzing
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@st.composite
+def mutated(draw, document):
+    """A copy of a JSON document with the value at a drawn path replaced by arbitrary JSON."""
+    document = copy.deepcopy(document)
+    parent, key, node = None, None, document
+    while isinstance(node, (list, dict)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(JSON)
+    parent[key] = draw(JSON)
+    return document
+
+
+READERS = {
+    "model": (model_from_json, Model, model_to_json(model_m3())),
+    "search_spec": (
+        search_spec_from_json,
+        SearchSpec,
+        {"schema_version": 1, "failure_count": 2, "ddists_per_state": [1, 2], "limit": 3,
+         "z_always_detected": True, "star_elements_all_undetected": False},
+    ),
+    "microstate": (microstate_from_json, MicroState, [1, -1, 1, 1, 1, 1, -1, -1, 1]),
+    "ddistribution": (ddistribution_from_json, DDistribution, ["D", "U"] * 4 + ["D"]),
+    "fraction": (fraction_from_str, Fraction, "-5/12"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_readers_yield_an_object_or_a_format_error(reader, data):
+    parse, kind, valid = READERS[reader]
+    value = data.draw(st.one_of(JSON, mutated(valid), st.text()))
+    try:
+        result = parse(value)
+    except FormatError:
+        return
+    assert isinstance(result, kind)
