@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Any, Iterable, Iterator, Optional, TextIO, Union
 
 from . import serialize
 from .builtin import BUILTIN_SELECTORS, builtin_model, reproduce_section4
@@ -27,6 +27,7 @@ from .models import (
     combination_distribution,
     conditional_probability,
     detection_probability,
+    total_probability,
     verify_ac,
     verify_dm,
 )
@@ -55,15 +56,19 @@ class CommandOutcome:
     payload: Union[str, Iterable[str]] = ""
 
 
+def _read_json(path: str, what: str) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to convert
+        raise InputError(f"invalid JSON in {path!r}: {exc}") from exc
+
+
 def _load_model(source: str) -> Model:
     if source in BUILTIN_SELECTORS:
         return builtin_model(source)
-    try:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read model {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {source!r}: {exc}") from exc
+    data = _read_json(source, "model")
     try:
         return serialize.model_from_json(data)
     except serialize.FormatError as exc:
@@ -181,7 +186,7 @@ def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
             conditional: Optional[Fraction] = conditional_probability(model, assign)
         except UndefinedConditionalError:
             conditional = None
-        total = detection * conditional if conditional is not None else Fraction(0)
+        total = total_probability(model, assign)
         rows.append((assign, conditional, total, qm_probability(assign)))
     if args.format == "json":
         document = {
@@ -239,12 +244,7 @@ def cmd_combinations(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_search(args: argparse.Namespace) -> CommandOutcome:
-    try:
-        data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read spec {args.spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {args.spec!r}: {exc}") from exc
+    data = _read_json(args.spec, "spec")
     try:
         spec = serialize.search_spec_from_json(data)
     except serialize.FormatError as exc:

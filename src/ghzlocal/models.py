@@ -144,39 +144,35 @@ def m_specification(state: MicroState, ddist: DDistribution) -> MSpecification:
 class Model:
     """A complete model: every GHZ-compatible state mapped to its d-distributions.
 
-    Families are canonically ordered and duplicate-free; the state prior is
-    uniform 1/128 and each family is uniform 1/len(family).
+    The constructor canonicalises each family: it is stored sorted by flags
+    and duplicate-free, so a repeated d-distribution is merged.  The state
+    prior is uniform 1/128 and each family is uniform 1/len(family).
     """
 
     name: str
     assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
 
     def __post_init__(self) -> None:
-        expected = enumerate_ghz_microstates()
-        got = [state for state, _ in self.assignment]
-        if got != expected:
+        if [state for state, _ in self.assignment] != enumerate_ghz_microstates():
             raise ValueError(
                 "model must assign all 128 GHZ-compatible microstates in canonical order"
             )
+        canonical = []
         for state, family in self.assignment:
+            family = tuple(sorted(set(family), key=lambda d: d.flags))
             if not family:
                 raise ValueError(f"empty d-distribution family at {state.label}")
-            if list(family) != sorted(set(family), key=lambda d: d.flags):
-                raise ValueError(f"family at {state.label} not canonical/duplicate-free")
+            canonical.append((state, family))
+        object.__setattr__(self, "assignment", tuple(canonical))
 
     @classmethod
     def from_state_map(
         cls, name: str, mapping: Mapping[MicroState, Iterable[DDistribution]]
     ) -> "Model":
         states = enumerate_ghz_microstates()
-        missing = [s for s in states if s not in mapping]
-        if missing or len(mapping) != len(states):
+        if len(mapping) != len(states) or any(s not in mapping for s in states):
             raise ValueError("state map must cover exactly the GHZ-compatible states")
-        assignment = []
-        for state in states:
-            family = sorted(set(mapping[state]), key=lambda d: d.flags)
-            assignment.append((state, tuple(family)))
-        return cls(name, tuple(assignment))
+        return cls(name, tuple((state, mapping[state]) for state in states))
 
     @classmethod
     def from_element_families(
@@ -233,11 +229,11 @@ class Model:
     def element_families(self) -> dict[PartitionElement, tuple[DDistribution, ...]]:
         """Per-class families; raises if states of one class differ (non-uniform model)."""
         families: dict[PartitionElement, tuple[DDistribution, ...]] = {}
-        for state, family in self.assignment:
-            element = classify(state)
-            known = families.setdefault(element, family)
-            if known != family:
+        for element, states in partition_classes().items():
+            family = self._family_map[states[0]]
+            if any(self._family_map[state] != family for state in states[1:]):
                 raise ValueError(f"model {self.name!r} is not uniform on {element.value}")
+            families[element] = family
         return families
 
     def __repr__(self) -> str:

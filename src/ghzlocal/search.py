@@ -21,6 +21,7 @@ identical specs always produce identical streams.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -73,7 +74,7 @@ class SearchSpec:
             lo, hi = self.ddists_per_state
             if lo < 1 or hi < lo:
                 raise ValueError(f"bad ddists_per_state range: {self.ddists_per_state}")
-        if self.limit is not None and self.limit < 0:
+        if self.limit is not None and not 0 <= self.limit <= sys.maxsize:
             raise ValueError(f"bad limit: {self.limit}")
 
 

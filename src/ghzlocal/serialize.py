@@ -129,9 +129,14 @@ def model_from_json(data: Any) -> Model:
             raise FormatError(f"duplicate state {state.label} in model document")
         mapping[state] = [ddistribution_from_json(d) for d in ddists]
     try:
-        return Model.from_state_map(name, mapping)
+        model = Model.from_state_map(name, mapping)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    # the model merges a repeated d-distribution; a document must not repeat one
+    for state, family in model.assignment:
+        if len(family) != len(mapping[state]):
+            raise FormatError(f"state {state.label} lists a d-distribution more than once")
+    return model
 
 
 # --------------------------------------------------------------------------- contexts

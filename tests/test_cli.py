@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ghzlocal import cli
 from ghzlocal.cli import main
 from ghzlocal.serialize import model_to_json
@@ -79,6 +81,19 @@ def test_verify_invalid_json_file(capsys, tmp_path):
     path.write_text("{not json")
     code, _, _ = run(capsys, "verify", str(path))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b'{"limit": ' + b"9" * 5000 + b"}"], ids=["not-utf8", "long-int"]
+)
+def test_undecodable_file_is_parse_error(capsys, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
 
 
 def test_verify_unsupported_schema_version_is_parse_error(capsys, tmp_path, m3):
@@ -264,6 +279,12 @@ def test_search_limit_flag_overrides(capsys, tmp_path):
     code, out, _ = run(capsys, "search", spec, "--limit", "1")
     assert code == 0
     assert "models found: 1" in out
+    for limit in (10**20, sys.maxsize + 1):
+        code, out, err = run(capsys, "search", spec, "--limit", str(limit))
+        assert (code, out) == (2, "") and "bad limit" in err
+        huge = write_spec(tmp_path, "huge.json", failure_count=3, ddists_per_state=1, limit=limit)
+        code, out, err = run(capsys, "search", huge)
+        assert (code, out) == (2, "") and "bad limit" in err
 
 
 # --------------------------------------------------------------------------- reproduce

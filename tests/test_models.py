@@ -291,6 +291,12 @@ def test_census_examples(m3, m1, m2):
 def test_model_requires_full_state_coverage():
     with pytest.raises(ValueError):
         Model.from_state_map("partial", {ALL_PLUS: [DDistribution.all_detected()]})
+    # the constructor itself insists on every state, in canonical order
+    states = enumerate_ghz_microstates()
+    family = (DDistribution.all_detected(),)
+    for order in (states[::-1], states[1:], [states[1], states[0], *states[2:]]):
+        with pytest.raises(ValueError):
+            Model("out-of-order", tuple((s, family) for s in order))
 
 
 def test_model_rejects_empty_family():
@@ -306,6 +312,18 @@ def test_model_families_are_normalized():
     mapping = {s: [dd2, dd1, dd2] for s in enumerate_ghz_microstates()}
     model = Model.from_state_map("normalized", mapping)
     assert model.family(ALL_PLUS) == (dd1, dd2)
+    # the constructor canonicalises: shuffled, repeated families built directly
+    # equal the model from the state map, whatever order either was given in
+    dd3 = DDistribution.with_undetected([Site.from_label("x1")])
+    states = enumerate_ghz_microstates()
+    pools = [[dd3, dd1, dd3], [dd2, dd3, dd1, dd2], [dd1, dd1]]
+    direct = Model("normalized", tuple((s, pools[i % 3]) for i, s in enumerate(states)))
+    mapped = Model.from_state_map(
+        "normalized", {s: pools[i % 3][::-1] for i, s in enumerate(states)}
+    )
+    assert direct == mapped
+    assert [family for _, family in direct.assignment[:3]] == [(dd1, dd3), (dd1, dd3, dd2), (dd1,)]
+    assert Model("normalized", tuple((s, mapping[s]) for s in states)) == model
 
 
 def test_ddistribution_validation():

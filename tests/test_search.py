@@ -2,6 +2,7 @@
 and the class-count lemma that makes the search a plain product."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -46,6 +47,10 @@ def test_spec_rejects_bad_ranges():
         SearchSpec(failure_count=2, ddists_per_state=(3, 1)).validate()
     with pytest.raises(ValueError):
         SearchSpec(failure_count=12).validate()
+    for limit in (-1, sys.maxsize + 1, 10**20):
+        with pytest.raises(ValueError, match="bad limit"):
+            SearchSpec(failure_count=2, limit=limit).validate()
+    SearchSpec(failure_count=2, limit=sys.maxsize).validate()
 
 
 def test_m3_shaped_search_emits_m3(m3):

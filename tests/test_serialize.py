@@ -1,6 +1,7 @@
 """Serialization round trips and schema validation."""
 
 import copy
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,10 @@ def test_model_from_json_rejects_bad_documents(m3):
         document["states"][0]["values"][0] = bad
         with pytest.raises(FormatError):
             model_from_json(document)
+    document = model_to_json(m3)
+    document["states"][0]["ddists"] *= 2
+    with pytest.raises(FormatError, match=re.escape(f"state {m3.assignment[0][0].label} ")):
+        model_from_json(document)
 
 
 def test_context_parsing():
