@@ -23,7 +23,6 @@ copied from the table, so a wrong model fails the rows it breaks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -48,6 +47,7 @@ from .state_space import (
     PartitionElement,
     Site,
     Triad,
+    _Value,
     partition_classes,
 )
 
@@ -152,11 +152,11 @@ def builtin_model(selector: str) -> Model:
 # reproduction report
 
 
-@dataclass(frozen=True)
-class ReproCheck:
-    name: str
-    expected: str
-    actual: str
+class ReproCheck(_Value):
+    _fields = ("name", "expected", "actual")
+
+    def __init__(self, name: str, expected: str, actual: str) -> None:
+        self._set(name, expected, actual)
 
     @property
     def passed(self) -> bool:
@@ -168,10 +168,11 @@ class ReproCheck:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: expected {self.expected}, got {self.actual}"
 
 
-@dataclass(frozen=True)
-class ReproductionReport:
-    model: str
-    checks: tuple[ReproCheck, ...]
+class ReproductionReport(_Value):
+    _fields = ("model", "checks")
+
+    def __init__(self, model: str, checks: tuple[ReproCheck, ...]) -> None:
+        self._set(model, checks)
 
     @property
     def passed(self) -> bool:

@@ -9,11 +9,9 @@ combinations, csv) switches to the machine schemas.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, TextIO, Union
@@ -33,7 +31,7 @@ from .models import (
 )
 from .qm import OutcomeAssignment, outcome_assignments, qm_probability
 from .search import ExpectedCounts, SearchSpec, UnboundedSearchError, search_models, verify_counts
-from .state_space import PartitionElement, classify, enumerate_ghz_microstates
+from .state_space import _Value, enumerate_ghz_microstates, partition_classes
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -49,11 +47,12 @@ class InputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    # the whole output, or its lines, each written and flushed as it is produced
-    payload: Union[str, Iterable[str]] = ""
+class CommandOutcome(_Value):
+    _fields = ("exit_code", "payload")
+
+    # payload: the whole output, or its lines, each written and flushed as it is produced
+    def __init__(self, exit_code: int, payload: Union[str, Iterable[str]] = "") -> None:
+        self._set(exit_code, payload)
 
 
 def _read_json(path: str, what: str) -> Any:
@@ -67,6 +66,11 @@ def _read_json(path: str, what: str) -> Any:
 
 def _load_model(source: str) -> Model:
     if source in BUILTIN_SELECTORS:
+        if os.path.exists(source):
+            raise UsageError(
+                f"{source!r} is both a built-in model selector and a file;"
+                f" write ./{source} for the file"
+            )
         return builtin_model(source)
     data = _read_json(source, "model")
     try:
@@ -84,29 +88,28 @@ def _dump(document: object) -> str:
 
 def cmd_states(args: argparse.Namespace) -> CommandOutcome:
     states = enumerate_ghz_microstates()
-    labelled = [(state, classify(state)) for state in states]
+    classes = partition_classes()
+    element = {s: el.value for el, members in classes.items() for s in members}
     if args.format == "json":
         document = {
             "schema_version": serialize.SCHEMA_VERSION,
             "count": len(states),
             "states": [
-                {"values": serialize.microstate_to_json(s), "element": el.value}
-                for s, el in labelled
+                {"values": serialize.microstate_to_json(s), "element": element[s]} for s in states
             ],
         }
         return CommandOutcome(EXIT_OK, _dump(document))
     lines = []
     if args.partition:
-        for element in PartitionElement:
-            members = [s for s, el in labelled if el is element]
-            lines.append(f"{element.value} ({len(members)} states)")
+        for el, members in classes.items():
+            lines.append(f"{el.value} ({len(members)} states)")
             lines.extend(f"  {s.label}" for s in members)
     else:
-        lines.extend(f"{i:4d}  {s.label}  {el.value}" for i, (s, el) in enumerate(labelled, 1))
-    tally = {el: sum(1 for _, e in labelled if e is el) for el in PartitionElement}
+        lines.extend(f"{i:4d}  {s.label}  {element[s]}" for i, s in enumerate(states, 1))
+    # the classes are equal in size (tests/test_acceptance.py, criterion 1)
     lines.append(
-        f"{len(states)} states in {len(tally)} partition elements"
-        f" of {set(tally.values()).pop() if len(set(tally.values())) == 1 else 'varying'} states each"
+        f"{len(states)} states in {len(classes)} partition elements"
+        f" of {len(states) // len(classes)} states each"
     )
     return CommandOutcome(EXIT_OK, "\n".join(lines))
 
@@ -250,7 +253,7 @@ def cmd_search(args: argparse.Namespace) -> CommandOutcome:
     except serialize.FormatError as exc:
         raise InputError(f"invalid search spec {args.spec!r}: {exc}") from exc
     if args.limit is not None:
-        spec = dataclasses.replace(spec, limit=args.limit)
+        spec = SearchSpec(**dict(zip(spec._fields, spec._astuple()), limit=args.limit))
     try:
         spec.validate()
     except (UnboundedSearchError, ValueError) as exc:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
@@ -37,7 +36,10 @@ from .state_space import (
     PartitionElement,
     Site,
     Triad,
-    classify,
+    _sign_mask,
+    _TRIAD_MASKS,
+    _Value,
+    _violated,
     enumerate_contexts,
     enumerate_ghz_microstates,
     partition_classes,
@@ -53,8 +55,7 @@ class UndefinedConditionalError(ZeroDivisionError):
     """Conditional-on-detection probability requested where nothing is ever detected."""
 
 
-@dataclass(frozen=True)
-class DDistribution:
+class DDistribution(_Value):
     """Detection flags for all nine sites, in canonical site order.
 
     One flag per site: the +1 and -1 outcomes of an observable share their
@@ -62,13 +63,22 @@ class DDistribution:
     them.
     """
 
-    flags: tuple[str, ...]
+    _fields = ("flags",)
 
-    def __post_init__(self) -> None:
-        if len(self.flags) != 9:
-            raise ValueError(f"d-distribution needs 9 flags, got {len(self.flags)}")
-        if any(f not in (DETECTED, UNDETECTED) for f in self.flags):
-            raise ValueError(f"flags must be 'D' or 'U': {self.flags!r}")
+    def __init__(self, flags: tuple[str, ...]) -> None:
+        if len(flags) != 9:
+            raise ValueError(f"d-distribution needs 9 flags, got {len(flags)}")
+        if any(f not in (DETECTED, UNDETECTED) for f in flags):
+            raise ValueError(f"flags must be 'D' or 'U': {flags!r}")
+        object.__setattr__(self, "flags", flags)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.flags == other.flags  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.flags,))
 
     @classmethod
     def all_detected(cls) -> "DDistribution":
@@ -104,17 +114,17 @@ class DDistribution:
         return f"DDistribution({''.join(self.flags)})"
 
 
-@dataclass(frozen=True)
-class MSpecification:
+class MSpecification(_Value):
     """Registered outcomes per site: the state's sign where detected, 0 where not."""
 
-    values: tuple[int, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 9:
-            raise ValueError(f"m-specification needs 9 values, got {len(self.values)}")
-        if any(v not in (-1, 0, +1) for v in self.values):
-            raise ValueError(f"m-specification values must be -1, 0 or +1: {self.values!r}")
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if len(values) != 9:
+            raise ValueError(f"m-specification needs 9 values, got {len(values)}")
+        if any(v not in (-1, 0, +1) for v in values):
+            raise ValueError(f"m-specification values must be -1, 0 or +1: {values!r}")
+        object.__setattr__(self, "values", values)
 
     def value(self, site: Site) -> int:
         return self.values[site.index]
@@ -140,8 +150,7 @@ def m_specification(state: MicroState, ddist: DDistribution) -> MSpecification:
     )
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Value):
     """A complete model: every GHZ-compatible state mapped to its d-distributions.
 
     The constructor canonicalises each family: it is stored sorted by flags
@@ -149,21 +158,22 @@ class Model:
     prior is uniform 1/128 and each family is uniform 1/len(family).
     """
 
-    name: str
-    assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
+    _fields = ("name", "assignment")
 
-    def __post_init__(self) -> None:
-        if [state for state, _ in self.assignment] != enumerate_ghz_microstates():
+    def __init__(
+        self, name: str, assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
+    ) -> None:
+        if [state for state, _ in assignment] != enumerate_ghz_microstates():
             raise ValueError(
                 "model must assign all 128 GHZ-compatible microstates in canonical order"
             )
         canonical = []
-        for state, family in self.assignment:
+        for state, family in assignment:
             family = tuple(sorted(set(family), key=lambda d: d.flags))
             if not family:
                 raise ValueError(f"empty d-distribution family at {state.label}")
             canonical.append((state, family))
-        object.__setattr__(self, "assignment", tuple(canonical))
+        self._set(name, tuple(canonical))
 
     @classmethod
     def from_state_map(
@@ -266,11 +276,8 @@ def _state_table() -> tuple[tuple[int, tuple[tuple[Triad, int], ...]], ...]:
     """Per GHZ state, in canonical order: its sign mask, and the site mask of
     each triad it violates."""
     return tuple(
-        (
-            sum(1 << i for i, v in enumerate(state.values) if v < 0),
-            tuple((triad, _site_mask(triad.sites)) for triad in classify(state).violated),
-        )
-        for state in enumerate_ghz_microstates()
+        (signs, tuple((triad, _TRIAD_MASKS[triad]) for triad in _violated(signs)))
+        for signs in map(_sign_mask, enumerate_ghz_microstates())
     )
 
 
@@ -373,39 +380,53 @@ def total_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
 # verification
 
 
-@dataclass(frozen=True)
-class AcFailure:
-    context: MeasurementContext
-    assignment: OutcomeAssignment
-    expected: Fraction
-    actual: Fraction
-    rule: str = "ac"
+class AcFailure(_Value):
+    _fields = ("context", "assignment", "expected", "actual", "rule")
+
+    def __init__(
+        self,
+        context: MeasurementContext,
+        assignment: OutcomeAssignment,
+        expected: Fraction,
+        actual: Fraction,
+        rule: str = "ac",
+    ) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "rule", rule)
 
 
-@dataclass(frozen=True)
-class DmFailure:
-    state: MicroState
-    ddist: DDistribution
-    triad: Triad
-    rule: str = "dm"
+class DmFailure(_Value):
+    _fields = ("state", "ddist", "triad", "rule")
+
+    def __init__(
+        self, state: MicroState, ddist: DDistribution, triad: Triad, rule: str = "dm"
+    ) -> None:
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "ddist", ddist)
+        object.__setattr__(self, "triad", triad)
+        object.__setattr__(self, "rule", rule)
 
 
-@dataclass(frozen=True)
-class CountFailure:
-    quantity: str
-    expected: int
-    actual: int
-    rule: str = "counts"
+class CountFailure(_Value):
+    _fields = ("quantity", "expected", "actual", "rule")
+
+    def __init__(self, quantity: str, expected: int, actual: int, rule: str = "counts") -> None:
+        self._set(quantity, expected, actual, rule)
 
 
 Failure = Union[AcFailure, DmFailure, CountFailure]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check: str
-    failures: tuple[Failure, ...]
-    skipped: tuple[str, ...] = ()
+class VerificationReport(_Value):
+    _fields = ("check", "failures", "skipped")
+
+    def __init__(
+        self, check: str, failures: tuple[Failure, ...], skipped: tuple[str, ...] = ()
+    ) -> None:
+        self._set(check, failures, skipped)
 
     @property
     def passed(self) -> bool:
@@ -478,17 +499,17 @@ _TRIAD_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class Combination:
+class Combination(_Value):
     """Hidden-variable point over the six x/y sites: +1, -1, or D (defective)."""
 
-    slots: tuple[str, ...]
+    _fields = ("slots",)
 
-    def __post_init__(self) -> None:
-        if len(self.slots) != 6:
-            raise ValueError(f"combination needs 6 slots, got {len(self.slots)}")
-        if any(s not in _SLOT_ORDER for s in self.slots):
-            raise ValueError(f"slots must be '+1', '-1' or 'D': {self.slots!r}")
+    def __init__(self, slots: tuple[str, ...]) -> None:
+        if len(slots) != 6:
+            raise ValueError(f"combination needs 6 slots, got {len(slots)}")
+        if any(s not in _SLOT_ORDER for s in slots):
+            raise ValueError(f"slots must be '+1', '-1' or 'D': {slots!r}")
+        object.__setattr__(self, "slots", slots)
 
     @property
     def surviving_triads(self) -> int:
@@ -518,12 +539,17 @@ def to_combination(mspec: MSpecification) -> Optional[Combination]:
     return Combination(slots)
 
 
-@dataclass
-class CombinationDistribution:
+class CombinationDistribution(_Value):
     """Pushforward of a model's measure onto combinations plus the undetected marker."""
 
-    masses: dict[Combination, Fraction]
-    undetected: Fraction
+    _fields = ("masses", "undetected")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, masses: dict[Combination, Fraction], undetected: Fraction) -> None:
+        self.masses = masses
+        self.undetected = undetected
 
     @property
     def total_mass(self) -> Fraction:

@@ -16,20 +16,18 @@ tested with ``==``, never with tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .state_space import Axis, MeasurementContext, Site, Triad
+from .state_space import Axis, MeasurementContext, Site, Triad, _Value
 
 # A Gaussian integer as (real, imaginary); spin operators have entries in
 # {0, +/-1, +/-i}, so projecting an integer vector stays integral.
 GaussianInt = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GhzVector:
+class GhzVector(_Value):
     """The GHZ vector over z-basis bitstrings, unnormalized.
 
     Particle 1 is the most significant bit of the 3-bit index; bit value 0
@@ -37,29 +35,31 @@ class GhzVector:
     (-,-,-), 0 elsewhere; squared norm 2.
     """
 
-    amplitudes: tuple[GaussianInt, ...] = (
-        (1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (-1, 0),
-    )
-    squared_norm: int = 2
+    _fields = ("amplitudes", "squared_norm")
+
+    def __init__(
+        self,
+        amplitudes: tuple[GaussianInt, ...] = ((1, 0),) + ((0, 0),) * 6 + ((-1, 0),),
+        squared_norm: int = 2,
+    ) -> None:
+        self._set(amplitudes, squared_norm)
 
 
 GHZ_VECTOR = GhzVector()
 
 
-@dataclass(frozen=True)
-class OutcomeAssignment:
+class OutcomeAssignment(_Value):
     """Signs assigned to exactly the sites of a measurement context."""
 
-    context: MeasurementContext
-    outcomes: tuple[int, ...]
+    _fields = ("context", "outcomes")
 
-    def __post_init__(self) -> None:
-        if len(self.outcomes) != len(self.context.sites):
-            raise ValueError(
-                f"{len(self.outcomes)} outcomes for {len(self.context.sites)} sites"
-            )
-        if any(v not in (-1, +1) for v in self.outcomes):
-            raise ValueError(f"outcomes must be +/-1: {self.outcomes!r}")
+    def __init__(self, context: MeasurementContext, outcomes: tuple[int, ...]) -> None:
+        if len(outcomes) != len(context.sites):
+            raise ValueError(f"{len(outcomes)} outcomes for {len(context.sites)} sites")
+        if any(v not in (-1, +1) for v in outcomes):
+            raise ValueError(f"outcomes must be +/-1: {outcomes!r}")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "outcomes", outcomes)
 
     def items(self) -> Iterator[tuple[Site, int]]:
         return zip(self.context.sites, self.outcomes)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .models import (
@@ -33,15 +32,14 @@ from .models import (
     VerificationReport,
     census,
 )
-from .state_space import SITES, XY_SITES, PartitionElement, Site
+from .state_space import SITES, XY_SITES, PartitionElement, Site, _Value
 
 
 class UnboundedSearchError(ValueError):
     """The constraint profile does not bound the search space."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Value):
     """Declarative constraint profile for the model search.
 
     ``failure_count`` fixes the exact number of U-flags per d-distribution and
@@ -52,12 +50,24 @@ class SearchSpec:
     number of emitted models.
     """
 
-    failure_count: Optional[int] = None
-    z_always_detected: bool = True
-    per_element_uniformity: bool = True
-    ddists_per_state: Optional[tuple[int, int]] = None
-    star_elements_all_undetected: bool = False
-    limit: Optional[int] = None
+    _fields = (
+        "failure_count", "z_always_detected", "per_element_uniformity",
+        "ddists_per_state", "star_elements_all_undetected", "limit",
+    )
+
+    def __init__(
+        self,
+        failure_count: Optional[int] = None,
+        z_always_detected: bool = True,
+        per_element_uniformity: bool = True,
+        ddists_per_state: Optional[tuple[int, int]] = None,
+        star_elements_all_undetected: bool = False,
+        limit: Optional[int] = None,
+    ) -> None:
+        self._set(
+            failure_count, z_always_detected, per_element_uniformity,
+            ddists_per_state, star_elements_all_undetected, limit,
+        )
 
     def validate(self) -> None:
         if self.failure_count is None:
@@ -142,13 +152,18 @@ def search_models(spec: SearchSpec) -> Iterator[Model]:
         yield Model.from_element_families(f"model-{n:04d}", dict(zip(elements, families)))
 
 
-@dataclass(frozen=True)
-class ExpectedCounts:
+class ExpectedCounts(_Value):
     """Expected census values; None fields are not checked."""
 
-    d_distributions: Optional[int] = None
-    m_specifications: Optional[int] = None
-    combinations: Optional[int] = None
+    _fields = ("d_distributions", "m_specifications", "combinations")
+
+    def __init__(
+        self,
+        d_distributions: Optional[int] = None,
+        m_specifications: Optional[int] = None,
+        combinations: Optional[int] = None,
+    ) -> None:
+        self._set(d_distributions, m_specifications, combinations)
 
 
 def verify_counts(model: Model, expected: ExpectedCounts) -> VerificationReport:

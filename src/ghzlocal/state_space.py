@@ -11,7 +11,6 @@ satisfaction pattern partitions the 128 states into 8 classes of 16.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -30,25 +29,66 @@ PARTICLES: tuple[int, ...] = (1, 2, 3)
 _SIGNS = (+1, -1)  # +1 sorts before -1 in every canonical enumeration
 
 
-@dataclass(frozen=True)
-class Site:
-    """One (axis, particle) slot of the nine-site layout."""
+class _Value:
+    """An immutable value: equality (within one class), hash and repr are those of
+    the tuple of its ``_fields``, and assigning or deleting an attribute raises
+    AttributeError.  ``__init__`` validates, then sets the fields with ``_set``, or
+    with ``object.__setattr__`` in a class built in bulk (``_set`` is slower)."""
 
-    axis: Axis
-    particle: int
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.particle not in PARTICLES:
-            raise ValueError(f"particle must be 1, 2 or 3, got {self.particle!r}")
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Site(_Value):
+    """One (axis, particle) slot of the nine-site layout, at canonical position ``index``."""
+
+    _fields = ("axis", "particle")
+
+    def __init__(self, axis: Axis, particle: int) -> None:
+        if not isinstance(axis, Axis):
+            raise ValueError(f"axis must be an Axis, got {axis!r}")
+        if type(particle) is not int or particle not in PARTICLES:
+            raise ValueError(f"particle must be 1, 2 or 3, got {particle!r}")
+        self._set(axis, particle)
+        object.__setattr__(self, "index", 3 * (particle - 1) + AXES.index(axis))
+        object.__setattr__(self, "_hash", hash((axis, particle)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
         return f"{self.axis.value}{self.particle}"
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical site order (particle-major, axis-minor)."""
-        return SITE_INDEX[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Site":
@@ -62,15 +102,13 @@ class Site:
 SITES: tuple[Site, ...] = tuple(
     Site(axis, particle) for particle in PARTICLES for axis in AXES
 )
-SITE_INDEX: dict[Site, int] = {site: i for i, site in enumerate(SITES)}
 
 # The six x/y sites in canonical order; combinations are defined on these.
 XY_SITES: tuple[Site, ...] = tuple(s for s in SITES if s.axis is not Axis.Z)
 Z_SITES: tuple[Site, ...] = tuple(s for s in SITES if s.axis is Axis.Z)
 
 
-@dataclass(frozen=True)
-class MicroState:
+class MicroState(_Value):
     """A 9-tuple of signs, one per site, in canonical site order.
 
     States with unequal z-values are representable (the full sign space is
@@ -78,16 +116,25 @@ class MicroState:
     those with equal z-values, take part in any model-level operation.
     """
 
-    values: tuple[int, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 9:
-            raise ValueError(f"microstate needs 9 values, got {len(self.values)}")
-        if any(v not in (-1, +1) for v in self.values):
-            raise ValueError(f"microstate values must be +/-1: {self.values!r}")
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if len(values) != 9:
+            raise ValueError(f"microstate needs 9 values, got {len(values)}")
+        if any(v not in (-1, +1) for v in values):
+            raise ValueError(f"microstate values must be +/-1: {values!r}")
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     def value(self, site: Site) -> int:
-        return self.values[SITE_INDEX[site]]
+        return self.values[site.index]
 
     @property
     def is_ghz_compatible(self) -> bool:
@@ -134,6 +181,7 @@ _TRIAD_SITES: dict[Triad, tuple[Site, Site, Site]] = {
     Triad.III: (_site("y1"), _site("y2"), _site("x3")),
     Triad.IV: (_site("x1"), _site("x2"), _site("x3")),
 }
+_TRIAD_MASKS: dict[Triad, int] = {t: sum(1 << s.index for s in t.sites) for t in Triad}
 
 
 class PartitionElement(Enum):
@@ -181,18 +229,17 @@ _SATISFIED_TO_ELEMENT: dict[frozenset[Triad], PartitionElement] = {
 }
 
 
-@dataclass(frozen=True)
-class MeasurementContext:
+class MeasurementContext(_Value):
     """A compatible selection of observables: at most one axis per particle.
 
     Sites are kept in canonical order; construction rejects a selection that
     puts two observables on the same particle.
     """
 
-    sites: tuple[Site, ...]
+    _fields = ("sites",)
 
-    def __post_init__(self) -> None:
-        sites = tuple(sorted(self.sites, key=lambda s: SITE_INDEX[s]))
+    def __init__(self, sites: tuple[Site, ...]) -> None:
+        sites = tuple(sorted(sites, key=lambda s: s.index))
         if not 1 <= len(sites) <= 3:
             raise ValueError(f"context needs 1..3 sites, got {len(sites)}")
         particles = [s.particle for s in sites]
@@ -261,12 +308,29 @@ def classify(state: MicroState) -> PartitionElement:
     return _SATISFIED_TO_ELEMENT[satisfied_triads(state)]
 
 
+def _sign_mask(state: MicroState) -> int:
+    """Bit i set where the state's value at site i is -1."""
+    return sum(1 << i for i, v in enumerate(state.values) if v < 0)
+
+
+def _violated(signs: int) -> tuple[Triad, ...]:
+    """The triads violated by a GHZ state with this sign mask, in Triad order.
+
+    A triad's product is -1 exactly when an odd number of its sites hold -1,
+    and only triad IV requires -1; ``classify`` is the reference.
+    """
+    return tuple(
+        t for t, mask in _TRIAD_MASKS.items() if (signs & mask).bit_count() % 2 != (t is Triad.IV)
+    )
+
+
 @lru_cache(maxsize=1)
 def partition_classes() -> dict[PartitionElement, tuple[MicroState, ...]]:
     """The 8 partition classes, each a canonical-order tuple of 16 states."""
+    by_violated = {el.violated: el for el in PartitionElement}
     classes: dict[PartitionElement, list[MicroState]] = {el: [] for el in PartitionElement}
     for state in _ghz_microstates():
-        classes[classify(state)].append(state)
+        classes[by_violated[_violated(_sign_mask(state))]].append(state)
     return {el: tuple(states) for el, states in classes.items()}
 
 

@@ -1,12 +1,17 @@
 """CLI contract: exit codes, output schemas, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghzlocal import cli
 from ghzlocal.cli import main
@@ -103,6 +108,19 @@ def test_verify_unsupported_schema_version_is_parse_error(capsys, tmp_path, m3):
     assert code == 3
     assert out == ""
     assert "schema_version" in err
+
+
+@pytest.mark.parametrize("command", [("verify",), ("probs", "--outcomes", "+1", "x1"), ("export",)])
+def test_builtin_selector_that_is_also_a_file_is_usage_error(capsys, tmp_path, monkeypatch, m1, command):
+    monkeypatch.chdir(tmp_path)
+    Path("M3").write_text(json.dumps(model_to_json(m1)))
+    name, *rest = command
+    code, out, err = run(capsys, name, "M3", *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'M3' is both a built-in model selector and a file")
+    # the file is still reachable by a path, and the other selectors are unaffected
+    assert run(capsys, "verify", "./M3")[:2] == (0, "model: M1\nac: pass\ndm: pass\n")
+    assert run(capsys, "verify", "M2")[:2] == (0, "model: M2\nac: pass\ndm: pass\n")
 
 
 def test_verify_counts_flag(capsys):
@@ -333,3 +351,81 @@ def test_output_flag_writes_file(capsys, tmp_path):
 def test_output_flag_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "states", "--output", str(tmp_path / "nodir" / "x.txt"))
     assert code == 3
+
+
+# --------------------------------------------------------------------------- argv fuzz
+
+FUZZ_FILES = {
+    # search specs with small spaces: one model, none, unbounded, and bad types
+    "one.json": '{"failure_count": 9, "z_always_detected": false}',
+    "none.json": '{"failure_count": 1}',
+    "unbounded.json": "{}",
+    "types.json": '{"failure_count": true}',
+    "broken.json": "{",
+}
+# real argv strings hold no NUL; "/" is left out so --output stays in the work directory
+FUZZ_TEXT = st.text(st.characters(exclude_characters="/\x00"), max_size=10)
+FUZZ_WORDS = [
+    "states", "verify", "probs", "combinations", "search", "reproduce", "export", "M3", "M1",
+    "M2", "M4", *FUZZ_FILES, "x1", "x1,y2,y3", "x1,x1", "w9", ",", "", "--format", "csv",
+    "--output", ".", "--partition", "--ac", "--dm", "--counts", "--outcomes", "--limit", "-h",
+    "--", "-",
+]
+FUZZ_TOKEN = st.one_of(st.sampled_from(FUZZ_WORDS), FUZZ_TEXT, st.integers(-10, 10**30).map(str))
+FUZZ_MODEL = st.sampled_from(["M3", "M1", "M2", "M4", "missing.json", "one.json", "broken.json"])
+HUGE = str(10**30)
+FUZZ_COMMANDS = {  # each command's operands, and the values of its options (None: a switch)
+    "states": ([], {"--partition": None}),
+    "verify": (
+        [FUZZ_MODEL],
+        {"--ac": None, "--dm": None, "--counts": st.sampled_from(["96,48", "1,2,3", "1,x", HUGE])},
+    ),
+    "probs": (
+        [FUZZ_MODEL, st.sampled_from(["x1", "x1,y2,y3", "z1,z2", "x1,x1", "w9", ",", ""])],
+        {"--outcomes": st.sampled_from(["+1", "-1", "+1,-1,-1", "1,0", ""])},
+    ),
+    "combinations": ([FUZZ_MODEL], {}),
+    "search": (
+        [st.sampled_from([*FUZZ_FILES, "missing.json"])],
+        {"--limit": st.sampled_from(["0", "2", "-1", HUGE])},
+    ),
+    "reproduce": ([FUZZ_MODEL], {}),
+    "export": ([FUZZ_MODEL], {}),
+}
+FUZZ_COMMON = {
+    "--format": st.sampled_from(["table", "json", "csv"]),
+    "--output": st.sampled_from(["out.txt", "M3", ".", "missing/out.txt"]),
+}
+
+
+def _command_argv(command):
+    """The command, its operands, and up to three of its options."""
+    operands, options = FUZZ_COMMANDS[command]
+    options = {**options, **FUZZ_COMMON}
+    option = st.sampled_from(sorted(options)).flatmap(
+        lambda flag: st.just((flag,)) if options[flag] is None
+        else options[flag].map(lambda value: (flag, value))
+    )
+    return st.tuples(*operands, st.lists(option, max_size=3)).map(
+        lambda t: [command, *t[:-1], *(token for pair in t[-1] for token in pair)]
+    )
+
+
+FUZZ_COMMAND_ARGV = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(_command_argv)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=st.one_of(FUZZ_COMMAND_ARGV, FUZZ_COMMAND_ARGV, st.lists(FUZZ_TOKEN, max_size=6)))
+def test_any_argv_ends_in_a_documented_exit_code(tmp_path, monkeypatch, argv):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))  # one per example: --output may write "M3"
+    monkeypatch.chdir(work)
+    for name, text in FUZZ_FILES.items():
+        (work / name).write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)

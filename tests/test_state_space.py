@@ -21,6 +21,7 @@ from ghzlocal import (
     satisfies,
     triad_product,
 )
+from ghzlocal.models import _state_table
 
 ALL_PLUS = MicroState((1,) * 9)
 STATES = enumerate_ghz_microstates()
@@ -35,6 +36,10 @@ def test_site_layout():
         Site.from_label("w1")
     with pytest.raises(ValueError):
         Site.from_label("x4")
+    assert [s.index for s in SITES] == list(range(9))
+    for axis, particle in (("x", 1), (None, 1), (Axis.X, True), (Axis.X, 1.0), (Axis.X, 4)):
+        with pytest.raises(ValueError):
+            Site(axis, particle)
 
 
 def test_enumeration_count_and_membership():
@@ -85,6 +90,22 @@ def test_partition_has_8_classes_of_16():
     assert set(classes) == set(PartitionElement)
     assert all(len(states) == 16 for states in classes.values())
     assert sum(len(states) for states in classes.values()) == 128
+
+
+def test_sign_mask_tables_match_classify():
+    # partition_classes() and _state_table() read a triad's sign from the
+    # parity of the state's -1s on it; classify and triad.sites are the reference
+    assert partition_classes() == {
+        el: tuple(s for s in STATES if classify(s) is el) for el in PartitionElement
+    }
+    assert list(partition_classes()) == list(PartitionElement)
+    assert _state_table() == tuple(
+        (
+            sum(1 << site.index for site in SITES if state.value(site) == -1),
+            tuple((t, sum(1 << site.index for site in t.sites)) for t in classify(state).violated),
+        )
+        for state in STATES
+    )
 
 
 def test_classify_examples():
