@@ -45,8 +45,8 @@ from .models import (
     verify_dm,
 )
 from .qm import (
-    GHZ_VECTOR,
-    GhzVector,
+    GHZ_AMPLITUDES,
+    GHZ_SQUARED_NORM,
     OutcomeAssignment,
     ghz_triad_probability,
     outcome_assignments,

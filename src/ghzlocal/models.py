@@ -36,10 +36,9 @@ from .state_space import (
     PartitionElement,
     Site,
     Triad,
-    _sign_mask,
     _TRIAD_MASKS,
     _Value,
-    _violated,
+    _state_classes,
     enumerate_contexts,
     enumerate_ghz_microstates,
     partition_classes,
@@ -60,7 +59,7 @@ class DDistribution(_Value):
 
     One flag per site: the +1 and -1 outcomes of an observable share their
     detection behavior by construction, so no representable model can split
-    them.
+    them.  ``_detected`` is the detect mask: bit i set when site i is detected.
     """
 
     _fields = ("flags",)
@@ -71,6 +70,9 @@ class DDistribution(_Value):
         if any(f not in (DETECTED, UNDETECTED) for f in flags):
             raise ValueError(f"flags must be 'D' or 'U': {flags!r}")
         object.__setattr__(self, "flags", flags)
+        object.__setattr__(
+            self, "_detected", sum(1 << i for i, f in enumerate(flags) if f == DETECTED)
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -95,12 +97,6 @@ class DDistribution(_Value):
 
     def detects(self, site: Site) -> bool:
         return self.flags[site.index] == DETECTED
-
-    @property
-    def _detected(self) -> int:
-        # computed on first use, once per distinct flags, so that parsing a
-        # model does not pay for it
-        return _detect_mask(self.flags)
 
     @property
     def undetected_sites(self) -> tuple[Site, ...]:
@@ -134,12 +130,6 @@ class MSpecification(_Value):
         return not any(self.values)
 
 
-@lru_cache(maxsize=512)  # one entry per valid flags tuple
-def _detect_mask(flags: tuple[str, ...]) -> int:
-    """Bit i set when site i is detected."""
-    return sum(1 << i for i, f in enumerate(flags) if f == DETECTED)
-
-
 def m_specification(state: MicroState, ddist: DDistribution) -> MSpecification:
     """Outcomes produced by a state under a d-distribution; depends on nothing else."""
     return MSpecification(
@@ -154,8 +144,9 @@ class Model(_Value):
     """A complete model: every GHZ-compatible state mapped to its d-distributions.
 
     The constructor canonicalises each family: it is stored sorted by flags
-    and duplicate-free, so a repeated d-distribution is merged.  The state
-    prior is uniform 1/128 and each family is uniform 1/len(family).
+    and duplicate-free, so a repeated d-distribution is merged.  A family
+    object given for several states is canonicalised once and shared.  The
+    state prior is uniform 1/128 and each family is uniform 1/len(family).
     """
 
     _fields = ("name", "assignment")
@@ -168,11 +159,14 @@ class Model(_Value):
                 "model must assign all 128 GHZ-compatible microstates in canonical order"
             )
         canonical = []
+        done: dict[int, tuple[DDistribution, ...]] = {}  # by id: assignment keeps each alive
         for state, family in assignment:
-            family = tuple(sorted(set(family), key=lambda d: d.flags))
-            if not family:
-                raise ValueError(f"empty d-distribution family at {state.label}")
-            canonical.append((state, family))
+            fixed = done.get(id(family))
+            if fixed is None:
+                fixed = done[id(family)] = tuple(sorted(set(family), key=lambda d: d.flags))
+                if not fixed:
+                    raise ValueError(f"empty d-distribution family at {state.label}")
+            canonical.append((state, fixed))
         self._set(name, tuple(canonical))
 
     @classmethod
@@ -191,12 +185,8 @@ class Model(_Value):
         """Build a model whose d-distributions are shared across a partition class."""
         if set(families) != set(PartitionElement):
             raise ValueError("families must cover all 8 partition elements")
-        mapping = {}
-        for element, states in partition_classes().items():
-            family = tuple(families[element])
-            for state in states:
-                mapping[state] = family
-        return cls.from_state_map(name, mapping)
+        shared = {element: tuple(family) for element, family in families.items()}
+        return cls(name, tuple((state, shared[element]) for state, element in _state_classes()))
 
     def family(self, state: MicroState) -> tuple[DDistribution, ...]:
         try:
@@ -214,11 +204,11 @@ class Model(_Value):
         lcm = math.lcm(*{len(family) for _, family in self.assignment})
         pairs = []
         groups: dict[int, dict[int, int]] = {}
-        for (signs, _), (_, family) in zip(_state_table(), self.assignment):
+        for state, family in self.assignment:
             weight = lcm // len(family)
             for ddist in family:
                 detect = ddist._detected
-                outcome = signs & detect
+                outcome = state._signs & detect
                 pairs.append((detect, outcome, weight))
                 # states that agree on the detected sites share one entry
                 group = groups.setdefault(detect, {})
@@ -269,16 +259,6 @@ def _site_mask(sites: Iterable[Site]) -> int:
 def _outcome_key(assign: OutcomeAssignment) -> int:
     """Bit i set where the assignment puts -1 on site i: a state's ``sign & C``."""
     return sum(1 << s.index for s, v in assign.items() if v < 0)
-
-
-@lru_cache(maxsize=1)
-def _state_table() -> tuple[tuple[int, tuple[tuple[Triad, int], ...]], ...]:
-    """Per GHZ state, in canonical order: its sign mask, and the site mask of
-    each triad it violates."""
-    return tuple(
-        (signs, tuple((triad, _TRIAD_MASKS[triad]) for triad in _violated(signs)))
-        for signs in map(_sign_mask, enumerate_ghz_microstates())
-    )
 
 
 def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution]:
@@ -475,9 +455,9 @@ def verify_dm(model: Model) -> VerificationReport:
     """Detection masking: a state violating a triad constraint must leave at
     least one site of that triad undetected, in every d-distribution."""
     failures: list[Failure] = []
-    for (state, family), (_, violated) in zip(model.assignment, _state_table()):
-        for triad, mask in violated:
-            for ddist in _detecting(family, mask):
+    for (state, family), (_, element) in zip(model.assignment, _state_classes()):
+        for triad in element.violated:
+            for ddist in _detecting(family, _TRIAD_MASKS[triad]):
                 failures.append(DmFailure(state, ddist, triad))
     return VerificationReport("dm", tuple(failures))
 

@@ -17,7 +17,6 @@ tested with ``==``, never with tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .state_space import Axis, MeasurementContext, Site, Triad, _Value
@@ -27,25 +26,11 @@ from .state_space import Axis, MeasurementContext, Site, Triad, _Value
 GaussianInt = tuple[int, int]
 
 
-class GhzVector(_Value):
-    """The GHZ vector over z-basis bitstrings, unnormalized.
-
-    Particle 1 is the most significant bit of the 3-bit index; bit value 0
-    encodes outcome +1.  Amplitude +1 at index 0 (+,+,+), -1 at index 7
-    (-,-,-), 0 elsewhere; squared norm 2.
-    """
-
-    _fields = ("amplitudes", "squared_norm")
-
-    def __init__(
-        self,
-        amplitudes: tuple[GaussianInt, ...] = ((1, 0),) + ((0, 0),) * 6 + ((-1, 0),),
-        squared_norm: int = 2,
-    ) -> None:
-        self._set(amplitudes, squared_norm)
-
-
-GHZ_VECTOR = GhzVector()
+# The GHZ vector over z-basis bitstrings, unnormalized.  Particle 1 is the
+# most significant bit of the 3-bit index; bit value 0 encodes outcome +1.
+# Amplitude +1 at index 0 (+,+,+), -1 at index 7 (-,-,-), 0 elsewhere.
+GHZ_AMPLITUDES: tuple[GaussianInt, ...] = ((1, 0),) + ((0, 0),) * 6 + ((-1, 0),)
+GHZ_SQUARED_NORM = 2
 
 
 class OutcomeAssignment(_Value):
@@ -98,14 +83,13 @@ def _apply_eigenop(
     return out
 
 
-@lru_cache(maxsize=None)
 def qm_probability(assign: OutcomeAssignment) -> Fraction:
     """Probability of the assignment on the GHZ state, from the state vector.
 
     Computes <v|prod(I + sign*sigma)|v> / (2^m * <v|v>) with v the integer
     GHZ vector and m the number of measured sites; exact by construction.
     """
-    amps = list(GHZ_VECTOR.amplitudes)
+    amps = list(GHZ_AMPLITUDES)
     for site, sign in assign.items():
         amps = _apply_eigenop(amps, site.axis, site.particle, sign)
     # <v|w> with v = e0 - e7, both entries real.
@@ -113,7 +97,7 @@ def qm_probability(assign: OutcomeAssignment) -> Fraction:
     im = amps[0][1] - amps[7][1]
     if im != 0:  # pragma: no cover - projectors are Hermitian, v is real
         raise ArithmeticError(f"non-real expectation for {assign.label}")
-    return Fraction(re, 2 ** len(assign.outcomes) * GHZ_VECTOR.squared_norm)
+    return Fraction(re, 2 ** len(assign.outcomes) * GHZ_SQUARED_NORM)
 
 
 def ghz_triad_probability(triad: Triad, outcomes: tuple[int, int, int]) -> Fraction:

@@ -10,6 +10,7 @@ import csv
 import io
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Optional
 
 from .builtin import ReproductionReport
@@ -24,7 +25,7 @@ from .models import (
 )
 from .qm import OutcomeAssignment
 from .search import SearchSpec
-from .state_space import MeasurementContext, MicroState, Site
+from .state_space import MeasurementContext, MicroState, Site, _ghz_microstates
 
 SCHEMA_VERSION = 1
 
@@ -71,10 +72,15 @@ def microstate_to_json(state: MicroState) -> list[int]:
 
 
 def microstate_from_json(values: Any) -> MicroState:
+    """The shared instance of a GHZ-compatible state; any other state is built fresh."""
     if not isinstance(values, list) or len(values) != 9 or not all(_is_int(v) for v in values):
         raise FormatError(f"microstate must be a JSON array of 9 integers: {values!r}")
+    values = tuple(values)
+    state = _ghz_microstates().get(values)
+    if state is not None:
+        return state
     try:
-        return MicroState(tuple(values))
+        return MicroState(values)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -83,11 +89,17 @@ def ddistribution_to_json(ddist: DDistribution) -> list[str]:
     return list(ddist.flags)
 
 
+@lru_cache(maxsize=None)  # a failed construction is not cached: at most 512 entries
+def _ddistribution(flags: tuple[str, ...]) -> DDistribution:
+    return DDistribution(flags)
+
+
 def ddistribution_from_json(flags: Any) -> DDistribution:
+    """One shared instance per flags tuple."""
     if not isinstance(flags, list) or len(flags) != 9:
         raise FormatError(f"d-distribution must be a JSON array of 9 flags: {flags!r}")
     try:
-        return DDistribution(tuple(str(f) for f in flags))
+        return _ddistribution(tuple(map(str, flags)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -143,10 +155,11 @@ def model_from_json(data: Any) -> Model:
 
 
 def parse_context_arg(text: str) -> MeasurementContext:
-    """Parse a context argument like "x1,y2,y3"; raises ValueError when malformed."""
-    labels = [token.strip() for token in text.split(",") if token.strip()]
-    if not labels:
-        raise ValueError(f"empty context argument {text!r}")
+    """Parse a context argument like "x1,y2,y3"; raises ValueError when malformed,
+    an empty site among the commas included."""
+    labels = [token.strip() for token in text.split(",")]
+    if not all(labels):
+        raise ValueError(f"empty site in context argument {text!r}")
     sites = tuple(Site.from_label(lb) for lb in labels)
     return MeasurementContext(sites)
 

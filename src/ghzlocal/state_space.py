@@ -114,6 +114,8 @@ class MicroState(_Value):
     States with unequal z-values are representable (the full sign space is
     occasionally useful for sanity checks) but only GHZ-compatible states,
     those with equal z-values, take part in any model-level operation.
+    ``_signs`` is the state as a sign mask: bit i set where the value at site
+    i is -1.
     """
 
     _fields = ("values",)
@@ -124,6 +126,7 @@ class MicroState(_Value):
         if any(v not in (-1, +1) for v in values):
             raise ValueError(f"microstate values must be +/-1: {values!r}")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_signs", sum(1 << i for i, v in enumerate(values) if v < 0))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -206,7 +209,7 @@ class PartitionElement(Enum):
 
     @property
     def violated(self) -> tuple[Triad, ...]:
-        return tuple(t for t in Triad if t not in self.satisfied)
+        return _ELEMENT_VIOLATED[self]
 
     @property
     def is_starred(self) -> bool:
@@ -226,6 +229,9 @@ _ELEMENT_SATISFIED: dict[PartitionElement, frozenset[Triad]] = {
 }
 _SATISFIED_TO_ELEMENT: dict[frozenset[Triad], PartitionElement] = {
     sat: el for el, sat in _ELEMENT_SATISFIED.items()
+}
+_ELEMENT_VIOLATED: dict[PartitionElement, tuple[Triad, ...]] = {
+    el: tuple(t for t in Triad if t not in sat) for el, sat in _ELEMENT_SATISFIED.items()
 }
 
 
@@ -268,18 +274,21 @@ class MeasurementContext(_Value):
 
 
 @lru_cache(maxsize=1)
-def _ghz_microstates() -> tuple[MicroState, ...]:
+def _ghz_microstates() -> dict[tuple[int, ...], MicroState]:
+    """The 128 GHZ-compatible states in canonical order, keyed by their values:
+    the one shared instance of each that the readers and builders hand out."""
     # Lexicographic on the full 9-tuple with +1 < -1; the shared z-value sits
     # at position 3 of the nesting so duplicates at z2, z3 keep the order.
-    states = []
+    states = {}
     for i1, j1, k, i2, j2, i3, j3 in itertools.product(_SIGNS, repeat=7):
-        states.append(MicroState((i1, j1, k, i2, j2, k, i3, j3, k)))
-    return tuple(states)
+        values = (i1, j1, k, i2, j2, k, i3, j3, k)
+        states[values] = MicroState(values)
+    return states
 
 
 def enumerate_ghz_microstates() -> list[MicroState]:
     """All 128 GHZ-compatible microstates in canonical (lexicographic) order."""
-    return list(_ghz_microstates())
+    return list(_ghz_microstates().values())
 
 
 def triad_product(state: MicroState, triad: Triad) -> int:
@@ -308,11 +317,6 @@ def classify(state: MicroState) -> PartitionElement:
     return _SATISFIED_TO_ELEMENT[satisfied_triads(state)]
 
 
-def _sign_mask(state: MicroState) -> int:
-    """Bit i set where the state's value at site i is -1."""
-    return sum(1 << i for i, v in enumerate(state.values) if v < 0)
-
-
 def _violated(signs: int) -> tuple[Triad, ...]:
     """The triads violated by a GHZ state with this sign mask, in Triad order.
 
@@ -325,12 +329,18 @@ def _violated(signs: int) -> tuple[Triad, ...]:
 
 
 @lru_cache(maxsize=1)
+def _state_classes() -> tuple[tuple[MicroState, PartitionElement], ...]:
+    """Each GHZ state, in canonical order, with its partition class."""
+    by_violated = {el.violated: el for el in PartitionElement}
+    return tuple((s, by_violated[_violated(s._signs)]) for s in _ghz_microstates().values())
+
+
+@lru_cache(maxsize=1)
 def partition_classes() -> dict[PartitionElement, tuple[MicroState, ...]]:
     """The 8 partition classes, each a canonical-order tuple of 16 states."""
-    by_violated = {el.violated: el for el in PartitionElement}
     classes: dict[PartitionElement, list[MicroState]] = {el: [] for el in PartitionElement}
-    for state in _ghz_microstates():
-        classes[by_violated[_violated(_sign_mask(state))]].append(state)
+    for state, element in _state_classes():
+        classes[element].append(state)
     return {el: tuple(states) for el, states in classes.items()}
 
 

@@ -134,6 +134,10 @@ def test_verify_counts_flag(capsys):
 def test_verify_counts_bad_value(capsys):
     code, _, err = run(capsys, "verify", "M3", "--counts", "lots")
     assert code == 2
+    # only ASCII digits: int() would take the '_', the spaces, the sign and '٩٦'
+    for text in ("9_6,4_8", " 96, 48", "+96,48", "96,-48", "\u0669\u0666,48", "96,48,", "96,,48"):
+        code, out, err = run(capsys, "verify", "M3", "--counts", text)
+        assert (code, out) == (2, "") and err.startswith("error: --counts"), text
 
 
 # --------------------------------------------------------------------------- probs
@@ -159,6 +163,10 @@ def test_probs_incompatible_context(capsys):
     code, _, err = run(capsys, "probs", "M3", "x1,y1")
     assert code == 2
     assert "x1,y1" in err
+    # an empty site or an empty --outcomes is an error, not left out
+    for argv in (["x1", "--outcomes", ""], ["x1,,y2"], ["x1,"], [",x1"], [""]):
+        code, out, err = run(capsys, "probs", "M1", *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
 
 
 def test_probs_json_round_trip(capsys):
@@ -297,6 +305,9 @@ def test_search_limit_flag_overrides(capsys, tmp_path):
     code, out, _ = run(capsys, "search", spec, "--limit", "1")
     assert code == 0
     assert "models found: 1" in out
+    for text in ("1_0", "+1", " 1", "-1", "1.0", "", "\u0661"):
+        code, out, err = run(capsys, "search", spec, "--limit", text)
+        assert (code, out) == (2, "") and err.startswith("error: --limit"), text
     for limit in (10**20, sys.maxsize + 1):
         code, out, err = run(capsys, "search", spec, "--limit", str(limit))
         assert (code, out) == (2, "") and "bad limit" in err

@@ -1,5 +1,6 @@
 """Model calculus: m-specifications, the three probabilities, verification, combinations."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import (
+    SITES,
     Combination,
     DDistribution,
     MeasurementContext,
@@ -324,6 +326,32 @@ def test_model_families_are_normalized():
     assert direct == mapped
     assert [family for _, family in direct.assignment[:3]] == [(dd1, dd3), (dd1, dd3, dd2), (dd1,)]
     assert Model("normalized", tuple((s, mapping[s]) for s in states)) == model
+
+
+def test_shared_family_object_is_canonicalised_for_every_state():
+    # from_element_families hands one family object to the 16 states of a
+    # class; the constructor sorts and de-duplicates it once, for all of them
+    pool = [DDistribution.with_undetected([site]) for site in SITES]
+    families = {el: [pool[i], pool[0], pool[i], pool[8 - i]] for i, el in enumerate(PartitionElement)}
+    model = Model.from_element_families("shared", families)
+    for element, states in partition_classes().items():
+        want = tuple(sorted(set(families[element]), key=lambda d: d.flags))
+        assert [model.family(state) for state in states] == [want] * 16
+        assert len({id(model.family(state)) for state in states}) == 1
+    fresh = {s: list(families[classify(s)]) for s in enumerate_ghz_microstates()}
+    assert Model.from_state_map("shared", fresh) == model
+    # the model and its census do not depend on the order families are given in
+    assert census(Model.from_element_families("r", {el: f[::-1] for el, f in families.items()})) == (
+        census(model)
+    )
+
+
+def test_detect_masks_match_flags():
+    for flags in itertools.product("DU", repeat=9):
+        ddist = DDistribution(flags)
+        assert ddist._detected == sum(1 << s.index for s in SITES if ddist.detects(s))
+    assert DDistribution.all_detected()._detected == 0b111111111
+    assert DDistribution.with_undetected([Site.from_label("y3")])._detected == 0b101111111
 
 
 def test_ddistribution_validation():

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzlocal import (
-    GHZ_VECTOR,
+    GHZ_AMPLITUDES,
+    GHZ_SQUARED_NORM,
     Axis,
     MeasurementContext,
     OutcomeAssignment,
@@ -35,10 +36,8 @@ def assign(spec: str) -> OutcomeAssignment:
 
 
 def test_ghz_vector_shape():
-    assert GHZ_VECTOR.amplitudes[0] == (1, 0)
-    assert GHZ_VECTOR.amplitudes[7] == (-1, 0)
-    assert all(a == (0, 0) for a in GHZ_VECTOR.amplitudes[1:7])
-    assert GHZ_VECTOR.squared_norm == 2
+    assert GHZ_AMPLITUDES == ((1, 0),) + ((0, 0),) * 6 + ((-1, 0),)
+    assert GHZ_SQUARED_NORM == sum(re * re + im * im for re, im in GHZ_AMPLITUDES) == 2
 
 
 def test_single_site_probabilities_are_half():

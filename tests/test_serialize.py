@@ -1,6 +1,7 @@
 """Serialization round trips and schema validation."""
 
 import copy
+import itertools
 import re
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ghzlocal import (
     SearchSpec,
     Site,
     combination_distribution,
+    enumerate_ghz_microstates,
     model_m3,
     verify_ac,
     verify_dm,
@@ -69,6 +71,25 @@ def test_microstate_round_trip():
             microstate_from_json([bad] + [1] * 8)
 
 
+def test_readers_hand_out_one_shared_instance_per_value(m3):
+    for state in enumerate_ghz_microstates():
+        assert microstate_from_json(list(state.values)) is state
+    # a valid state outside the GHZ table is built fresh, as before
+    outside = [1, 1, 1, 1, 1, -1, 1, 1, 1]
+    assert microstate_from_json(outside) == MicroState(tuple(outside))
+    for flags in itertools.product("DU", repeat=9):
+        shared = ddistribution_from_json(list(flags))
+        assert ddistribution_from_json(list(flags)) is shared
+        assert shared == DDistribution(flags) and shared._detected == DDistribution(flags)._detected
+    parsed = model_from_json(model_to_json(m3))
+    assert all(a is b for (a, _), b in zip(parsed.assignment, enumerate_ghz_microstates()))
+    # a document with a state outside the GHZ table is still rejected by the model
+    document = model_to_json(m3)
+    document["states"][0]["values"] = outside
+    with pytest.raises(FormatError, match="^state map must cover exactly the GHZ-compatible states$"):
+        model_from_json(document)
+
+
 def test_model_round_trip(m3, m1, m2):
     for model in (m3, m1, m2):
         document = model_to_json(model)
@@ -109,8 +130,9 @@ def test_context_parsing():
         parse_context_arg("x1,y1")
     with pytest.raises(ValueError):
         parse_context_arg("q7")
-    with pytest.raises(ValueError):
-        parse_context_arg("")
+    for text in ("", "x1,,y2", "x1,", ",x1", "x1, ,y2"):
+        with pytest.raises(ValueError):
+            parse_context_arg(text)
 
 
 def test_outcomes_parsing():

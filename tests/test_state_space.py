@@ -21,7 +21,7 @@ from ghzlocal import (
     satisfies,
     triad_product,
 )
-from ghzlocal.models import _state_table
+from ghzlocal.state_space import _ghz_microstates, _state_classes
 
 ALL_PLUS = MicroState((1,) * 9)
 STATES = enumerate_ghz_microstates()
@@ -93,19 +93,28 @@ def test_partition_has_8_classes_of_16():
 
 
 def test_sign_mask_tables_match_classify():
-    # partition_classes() and _state_table() read a triad's sign from the
+    # partition_classes() and _state_classes() read a triad's sign from the
     # parity of the state's -1s on it; classify and triad.sites are the reference
     assert partition_classes() == {
         el: tuple(s for s in STATES if classify(s) is el) for el in PartitionElement
     }
     assert list(partition_classes()) == list(PartitionElement)
-    assert _state_table() == tuple(
-        (
-            sum(1 << site.index for site in SITES if state.value(site) == -1),
-            tuple((t, sum(1 << site.index for site in t.sites)) for t in classify(state).violated),
-        )
-        for state in STATES
-    )
+    assert _state_classes() == tuple((state, classify(state)) for state in STATES)
+    assert all(a is b for (a, _), b in zip(_state_classes(), STATES))
+    for element in PartitionElement:
+        assert element.violated == tuple(t for t in Triad if t not in element.satisfied)
+
+
+def test_shared_states_equal_fresh_ones_and_carry_their_sign_masks():
+    table = _ghz_microstates()
+    assert list(table.values()) == STATES and all(a is b for a, b in zip(table.values(), STATES))
+    for values, state in table.items():
+        fresh = MicroState(values)
+        assert state == fresh and state.values == values
+        signs = sum(1 << site.index for site in SITES if state.value(site) == -1)
+        assert state._signs == fresh._signs == signs
+    # a state outside the table computes its mask the same way
+    assert MicroState((1, 1, 1, 1, 1, -1, 1, 1, -1))._signs == (1 << 5) | (1 << 8)
 
 
 def test_classify_examples():

@@ -15,7 +15,6 @@ import pytest
 
 import ghzlocal
 from ghzlocal import (
-    GHZ_VECTOR,
     AcFailure,
     Axis,
     Combination,
@@ -24,7 +23,6 @@ from ghzlocal import (
     DDistribution,
     DmFailure,
     ExpectedCounts,
-    GhzVector,
     MeasurementContext,
     MicroState,
     MSpecification,
@@ -60,9 +58,6 @@ CASES = [
     (MicroState, ("values",), (PLUS,), (MIXED,), 0, "MicroState(+1,+1,+1;+1,+1,+1;+1,+1,+1)"),
     (MeasurementContext, ("sites",), (CTX_A.sites,), (CTX_B.sites,), 0,
      "MeasurementContext(x1,y2)"),
-    (GhzVector, ("amplitudes", "squared_norm"), (((1, 0),) * 8, 8), (GHZ_VECTOR.amplitudes, 2), 2,
-     "GhzVector(amplitudes=((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)),"
-     " squared_norm=8)"),
     (OutcomeAssignment, ("context", "outcomes"), (CTX_A, (1, -1)), (CTX_B, (-1, 1)), 0,
      "OutcomeAssignment(context=MeasurementContext(x1,y2), outcomes=(1, -1))"),
     (DDistribution, ("flags",), (DD_A.flags,), (DD_B.flags,), 0, "DDistribution(DDDDDDDDD)"),
