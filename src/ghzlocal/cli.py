@@ -83,9 +83,14 @@ def _dump(document: object) -> str:
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-def _is_digits(text: str) -> bool:
-    """Whether the text is a non-negative integer in ASCII digits: no sign, space or '_'."""
-    return text.isascii() and text.isdigit()
+def _ascii_int(text: str) -> int:
+    """A non-negative integer written in ASCII digits only: no sign, space or '_'."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)  # ValueError past Python's limit on an int string's digits
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expects an integer in ASCII digits, got {text!r}")
 
 
 # --------------------------------------------------------------------------- states
@@ -128,9 +133,10 @@ def _parse_expected_counts(text: str) -> ExpectedCounts:
         raise UsageError(
             f"--counts expects 'MSPECS,COMBOS[,DDISTS]', got {text!r}"
         )
-    if not all(map(_is_digits, parts)):
-        raise UsageError(f"--counts expects integers in ASCII digits, got {text!r}")
-    numbers = [int(p) for p in parts]
+    try:
+        numbers = [_ascii_int(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--counts {exc}") from exc
     return ExpectedCounts(
         m_specifications=numbers[0],
         combinations=numbers[1],
@@ -251,15 +257,13 @@ def cmd_combinations(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_search(args: argparse.Namespace) -> CommandOutcome:
-    if args.limit is not None and not _is_digits(args.limit):
-        raise UsageError(f"--limit expects an integer in ASCII digits, got {args.limit!r}")
     data = _read_json(args.spec, "spec")
     try:
         spec = serialize.search_spec_from_json(data)
     except serialize.FormatError as exc:
         raise InputError(f"invalid search spec {args.spec!r}: {exc}") from exc
     if args.limit is not None:
-        spec = SearchSpec(**dict(zip(spec._fields, spec._astuple()), limit=int(args.limit)))
+        spec = SearchSpec(**dict(zip(spec._fields, spec._astuple()), limit=args.limit))
     try:
         spec.validate()
     except (UnboundedSearchError, ValueError) as exc:
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="search for models matching a spec file")
     p.add_argument("spec", help="path to a search-spec JSON document")
-    p.add_argument("--limit", help="emit at most this many models")
+    p.add_argument("--limit", type=_ascii_int, help="emit at most this many models")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("reproduce", parents=[common], help="recompute all published values for a builtin model")

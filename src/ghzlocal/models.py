@@ -154,12 +154,13 @@ class Model(_Value):
     def __init__(
         self, name: str, assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
     ) -> None:
+        assignment = tuple(assignment)  # keeps every family alive while keyed by id below
         if [state for state, _ in assignment] != enumerate_ghz_microstates():
             raise ValueError(
                 "model must assign all 128 GHZ-compatible microstates in canonical order"
             )
         canonical = []
-        done: dict[int, tuple[DDistribution, ...]] = {}  # by id: assignment keeps each alive
+        done: dict[int, tuple[DDistribution, ...]] = {}
         for state, family in assignment:
             fixed = done.get(id(family))
             if fixed is None:

@@ -135,7 +135,10 @@ def test_verify_counts_bad_value(capsys):
     code, _, err = run(capsys, "verify", "M3", "--counts", "lots")
     assert code == 2
     # only ASCII digits: int() would take the '_', the spaces, the sign and '٩٦'
-    for text in ("9_6,4_8", " 96, 48", "+96,48", "96,-48", "\u0669\u0666,48", "96,48,", "96,,48"):
+    # and no more digits than int() converts: a traceback is not a usage error
+    long = "9" * 5000
+    for text in ("9_6,4_8", " 96, 48", "+96,48", "96,-48", "\u0669\u0666,48", "96,48,", "96,,48",
+                 f"{long},1", f"96,48,{long}"):
         code, out, err = run(capsys, "verify", "M3", "--counts", text)
         assert (code, out) == (2, "") and err.startswith("error: --counts"), text
 
@@ -305,9 +308,9 @@ def test_search_limit_flag_overrides(capsys, tmp_path):
     code, out, _ = run(capsys, "search", spec, "--limit", "1")
     assert code == 0
     assert "models found: 1" in out
-    for text in ("1_0", "+1", " 1", "-1", "1.0", "", "\u0661"):
+    for text in ("1_0", "+1", " 1", "-1", "1.0", "", "\u0661", "9" * 5000):
         code, out, err = run(capsys, "search", spec, "--limit", text)
-        assert (code, out) == (2, "") and err.startswith("error: --limit"), text
+        assert (code, out) == (2, "") and "error: argument --limit: expects an integer" in err, text
     for limit in (10**20, sys.maxsize + 1):
         code, out, err = run(capsys, "search", spec, "--limit", str(limit))
         assert (code, out) == (2, "") and "bad limit" in err

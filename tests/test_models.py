@@ -346,6 +346,15 @@ def test_shared_family_object_is_canonicalised_for_every_state():
     )
 
 
+def test_model_from_one_pass_iterable_of_fresh_families():
+    # each family list is dropped by its producer as soon as it is handed on, so
+    # a freed list's id can come back for the next one with other contents
+    pool = [DDistribution.with_undetected([site]) for site in SITES]
+    states = enumerate_ghz_microstates()
+    model = Model("fresh", ((s, [pool[i % 9]]) for i, s in enumerate(states)))
+    assert [model.family(s) for s in states] == [(pool[i % 9],) for i in range(128)]
+
+
 def test_detect_masks_match_flags():
     for flags in itertools.product("DU", repeat=9):
         ddist = DDistribution(flags)
