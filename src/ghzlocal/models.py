@@ -25,6 +25,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .qm import OutcomeAssignment, outcome_assignments, qm_probability
@@ -59,7 +60,8 @@ class DDistribution(_Value):
 
     One flag per site: the +1 and -1 outcomes of an observable share their
     detection behavior by construction, so no representable model can split
-    them.  ``_detected`` is the detect mask: bit i set when site i is detected.
+    them.  ``_detected`` is the detect mask: bit i set when site i is detected;
+    ``_hash`` is the hash of ``(flags,)``, stored once.
     """
 
     _fields = ("flags",)
@@ -70,17 +72,11 @@ class DDistribution(_Value):
         if any(f not in (DETECTED, UNDETECTED) for f in flags):
             raise ValueError(f"flags must be 'D' or 'U': {flags!r}")
         object.__setattr__(self, "flags", flags)
-        object.__setattr__(
-            self, "_detected", sum(1 << i for i, f in enumerate(flags) if f == DETECTED)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.flags == other.flags  # type: ignore[attr-defined]
+        object.__setattr__(self, "_detected", sum(1 << i for i, f in enumerate(flags) if f == DETECTED))
+        object.__setattr__(self, "_hash", hash((flags,)))
 
     def __hash__(self) -> int:
-        return hash((self.flags,))
+        return self._hash
 
     @classmethod
     def all_detected(cls) -> "DDistribution":
@@ -92,8 +88,10 @@ class DDistribution(_Value):
 
     @classmethod
     def with_undetected(cls, sites: Iterable[Site]) -> "DDistribution":
+        """The shared instance that leaves exactly the given sites undetected."""
         undetected = {s.index for s in sites}
-        return cls(tuple(UNDETECTED if i in undetected else DETECTED for i in range(9)))
+        flags = tuple(UNDETECTED if i in undetected else DETECTED for i in range(9))
+        return _DDISTRIBUTIONS.get(flags) or _DDISTRIBUTIONS.setdefault(flags, cls(flags))
 
     def detects(self, site: Site) -> bool:
         return self.flags[site.index] == DETECTED
@@ -110,6 +108,11 @@ class DDistribution(_Value):
         return f"DDistribution({''.join(self.flags)})"
 
 
+# the one shared instance per flags tuple that readers and builders hand out;
+# only valid flags get in, so it holds at most 512
+_DDISTRIBUTIONS: dict[tuple[str, ...], DDistribution] = {}
+
+
 class MSpecification(_Value):
     """Registered outcomes per site: the state's sign where detected, 0 where not."""
 
@@ -120,7 +123,7 @@ class MSpecification(_Value):
             raise ValueError(f"m-specification needs 9 values, got {len(values)}")
         if any(v not in (-1, 0, +1) for v in values):
             raise ValueError(f"m-specification values must be -1, 0 or +1: {values!r}")
-        object.__setattr__(self, "values", values)
+        self._set(values)
 
     def value(self, site: Site) -> int:
         return self.values[site.index]
@@ -164,7 +167,7 @@ class Model(_Value):
         for state, family in assignment:
             fixed = done.get(id(family))
             if fixed is None:
-                fixed = done[id(family)] = tuple(sorted(set(family), key=lambda d: d.flags))
+                fixed = done[id(family)] = tuple(sorted(set(family), key=attrgetter("flags")))
                 if not fixed:
                     raise ValueError(f"empty d-distribution family at {state.label}")
             canonical.append((state, fixed))
@@ -372,11 +375,9 @@ class AcFailure(_Value):
         actual: Fraction,
         rule: str = "ac",
     ) -> None:
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "rule", rule)
+        self.__dict__.update(
+            context=context, assignment=assignment, expected=expected, actual=actual, rule=rule
+        )
 
 
 class DmFailure(_Value):
@@ -385,10 +386,7 @@ class DmFailure(_Value):
     def __init__(
         self, state: MicroState, ddist: DDistribution, triad: Triad, rule: str = "dm"
     ) -> None:
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "ddist", ddist)
-        object.__setattr__(self, "triad", triad)
-        object.__setattr__(self, "rule", rule)
+        self.__dict__.update(state=state, ddist=ddist, triad=triad, rule=rule)
 
 
 class CountFailure(_Value):
@@ -490,7 +488,7 @@ class Combination(_Value):
             raise ValueError(f"combination needs 6 slots, got {len(slots)}")
         if any(s not in _SLOT_ORDER for s in slots):
             raise ValueError(f"slots must be '+1', '-1' or 'D': {slots!r}")
-        object.__setattr__(self, "slots", slots)
+        self._set(slots)
 
     @property
     def surviving_triads(self) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional, Union
 
 from .models import (
     CensusRecord,
@@ -39,15 +39,20 @@ class UnboundedSearchError(ValueError):
     """The constraint profile does not bound the search space."""
 
 
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass, but true/false are not integers in a document
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class SearchSpec(_Value):
     """Declarative constraint profile for the model search.
 
     ``failure_count`` fixes the exact number of U-flags per d-distribution and
     is required: without it the family space per class is too large to walk.
     ``ddists_per_state`` restricts the family size per state (a (lo, hi)
-    range); ``star_elements_all_undetected`` gives the single-triad classes
-    the all-undetected escape instead of searched masks; ``limit`` caps the
-    number of emitted models.
+    range; an integer n is stored as (n, n)); ``star_elements_all_undetected``
+    gives the single-triad classes the all-undetected escape instead of
+    searched masks; ``limit`` caps the number of emitted models.
     """
 
     _fields = (
@@ -60,10 +65,12 @@ class SearchSpec(_Value):
         failure_count: Optional[int] = None,
         z_always_detected: bool = True,
         per_element_uniformity: bool = True,
-        ddists_per_state: Optional[tuple[int, int]] = None,
+        ddists_per_state: Union[tuple[int, int], int, None] = None,
         star_elements_all_undetected: bool = False,
         limit: Optional[int] = None,
     ) -> None:
+        if _is_int(ddists_per_state):
+            ddists_per_state = (ddists_per_state, ddists_per_state)
         self._set(
             failure_count, z_always_detected, per_element_uniformity,
             ddists_per_state, star_elements_all_undetected, limit,
@@ -81,9 +88,10 @@ class SearchSpec(_Value):
                 "search spec is unbounded: only per-element-uniform search is supported"
             )
         if self.ddists_per_state is not None:
-            lo, hi = self.ddists_per_state
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad ddists_per_state range: {self.ddists_per_state}")
+            pair = self.ddists_per_state
+            valid = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))
+            if not valid or not 1 <= pair[0] <= pair[1]:
+                raise ValueError(f"bad ddists_per_state range: {pair}")
         if self.limit is not None and not 0 <= self.limit <= sys.maxsize:
             raise ValueError(f"bad limit: {self.limit}")
 

@@ -10,7 +10,6 @@ import csv
 import io
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Optional
 
 from .builtin import ReproductionReport
@@ -21,22 +20,20 @@ from .models import (
     DDistribution,
     DmFailure,
     Model,
+    N_STATES,
     VerificationReport,
+    _DDISTRIBUTIONS,
 )
 from .qm import OutcomeAssignment
-from .search import SearchSpec
+from .search import SearchSpec, _is_int
 from .state_space import MeasurementContext, MicroState, Site, _ghz_microstates
 
 SCHEMA_VERSION = 1
+_NINE_INTS = (int,) * 9  # the value types of a microstate as a document gives it
 
 
 class FormatError(ValueError):
     """A document (model file, search spec, ...) does not match its schema."""
-
-
-def _is_int(value: Any) -> bool:
-    # bool is an int subclass, but true/false are not integers in a document
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_schema_version(data: dict[str, Any]) -> None:
@@ -73,7 +70,10 @@ def microstate_to_json(state: MicroState) -> list[int]:
 
 def microstate_from_json(values: Any) -> MicroState:
     """The shared instance of a GHZ-compatible state; any other state is built fresh."""
-    if not isinstance(values, list) or len(values) != 9 or not all(_is_int(v) for v in values):
+    # one C-level type test; only an int subclass other than bool needs ``_is_int``
+    if not isinstance(values, list) or (
+        tuple(map(type, values)) != _NINE_INTS and (len(values) != 9 or not all(map(_is_int, values)))
+    ):
         raise FormatError(f"microstate must be a JSON array of 9 integers: {values!r}")
     values = tuple(values)
     state = _ghz_microstates().get(values)
@@ -89,17 +89,16 @@ def ddistribution_to_json(ddist: DDistribution) -> list[str]:
     return list(ddist.flags)
 
 
-@lru_cache(maxsize=None)  # a failed construction is not cached: at most 512 entries
-def _ddistribution(flags: tuple[str, ...]) -> DDistribution:
-    return DDistribution(flags)
-
-
 def ddistribution_from_json(flags: Any) -> DDistribution:
     """One shared instance per flags tuple."""
     if not isinstance(flags, list) or len(flags) != 9:
         raise FormatError(f"d-distribution must be a JSON array of 9 flags: {flags!r}")
+    try:  # the flags of a shared instance are exact strings, so a hit needs no str()
+        return _DDISTRIBUTIONS[tuple(flags)]
+    except (KeyError, TypeError):  # TypeError: an unhashable flag
+        key = tuple(map(str, flags))
     try:
-        return _ddistribution(tuple(map(str, flags)))
+        return _DDISTRIBUTIONS.setdefault(key, DDistribution(key))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -129,7 +128,12 @@ def model_from_json(data: Any) -> Model:
     states = data.get("states")
     if not isinstance(name, str) or not isinstance(states, list):
         raise FormatError("model document needs string 'name' and array 'states'")
-    mapping = {}
+    # Entries that give the shared states in canonical order are distinct by
+    # construction and need no state map.  From the first entry that does not,
+    # the entries read so far and all later ones go through one.
+    canonical = tuple(_ghz_microstates().values())
+    families: list[list[DDistribution]] = []  # the canonical prefix
+    mapping: dict[MicroState, list[DDistribution]] = {}
     for entry in states:
         if not isinstance(entry, dict) or "values" not in entry or "ddists" not in entry:
             raise FormatError(f"model state entry needs 'values' and 'ddists': {entry!r}")
@@ -137,16 +141,25 @@ def model_from_json(data: Any) -> Model:
         ddists = entry["ddists"]
         if not isinstance(ddists, list) or not ddists:
             raise FormatError(f"state {state.label} needs a nonempty 'ddists' array")
+        if not mapping and len(families) < N_STATES and state is canonical[len(families)]:
+            families.append([ddistribution_from_json(d) for d in ddists])
+            continue
+        mapping = mapping or dict(zip(canonical, families))
         if state in mapping:
             raise FormatError(f"duplicate state {state.label} in model document")
         mapping[state] = [ddistribution_from_json(d) for d in ddists]
-    try:
-        model = Model.from_state_map(name, mapping)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    if mapping or len(families) != N_STATES:
+        try:
+            # empty for a canonical prefix short of 128 states, refused all the same
+            model = Model.from_state_map(name, mapping)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        families = [mapping[state] for state in canonical]
+    else:
+        model = Model(name, tuple(zip(canonical, families)))
     # the model merges a repeated d-distribution; a document must not repeat one
-    for state, family in model.assignment:
-        if len(family) != len(mapping[state]):
+    for (state, family), listed in zip(model.assignment, families):
+        if len(family) != len(listed):
             raise FormatError(f"state {state.label} lists a d-distribution more than once")
     return model
 
@@ -156,8 +169,8 @@ def model_from_json(data: Any) -> Model:
 
 def parse_context_arg(text: str) -> MeasurementContext:
     """Parse a context argument like "x1,y2,y3"; raises ValueError when malformed,
-    an empty site among the commas included."""
-    labels = [token.strip() for token in text.split(",")]
+    an empty site among the commas or a space around a site included."""
+    labels = text.split(",")
     if not all(labels):
         raise ValueError(f"empty site in context argument {text!r}")
     sites = tuple(Site.from_label(lb) for lb in labels)
@@ -165,11 +178,12 @@ def parse_context_arg(text: str) -> MeasurementContext:
 
 
 def parse_outcomes_arg(text: str, context: MeasurementContext) -> tuple[int, ...]:
-    """Parse an outcomes argument like "+1,-1" against a context."""
-    tokens = [token.strip() for token in text.split(",")]
-    if set(tokens) - {"+1", "-1", "1"}:
+    """Parse an outcomes argument like "+1,-1" against a context: each outcome is
+    exactly +1 or -1, signed and with no spaces."""
+    tokens = text.split(",")
+    if set(tokens) - {"+1", "-1"}:
         raise ValueError(f"outcomes must be +1 or -1: {text!r}")
-    outcomes = tuple(1 if t in ("+1", "1") else -1 for t in tokens)
+    outcomes = tuple(1 if t == "+1" else -1 for t in tokens)
     if len(outcomes) != len(context.sites):
         raise ValueError(
             f"{len(outcomes)} outcomes for {len(context.sites)}-site context"
@@ -322,19 +336,15 @@ def search_spec_from_json(data: Any) -> SearchSpec:
     if unknown:
         raise FormatError(f"unknown search spec keys: {sorted(unknown)}")
     ddists = data.get("ddists_per_state")
-    if ddists is None:
-        ddists_range = None
-    elif _is_int(ddists):
-        ddists_range = (ddists, ddists)
-    elif isinstance(ddists, list) and len(ddists) == 2 and all(_is_int(v) for v in ddists):
-        ddists_range = (ddists[0], ddists[1])
-    else:
+    if isinstance(ddists, list) and len(ddists) == 2 and all(map(_is_int, ddists)):
+        ddists = tuple(ddists)
+    elif ddists is not None and not _is_int(ddists):
         raise FormatError(f"ddists_per_state must be an int or [lo, hi]: {ddists!r}")
     return SearchSpec(
         failure_count=_optional_int(data, "failure_count"),
         z_always_detected=_flag(data, "z_always_detected", True),
         per_element_uniformity=_flag(data, "per_element_uniformity", True),
-        ddists_per_state=ddists_range,
+        ddists_per_state=ddists,
         star_elements_all_undetected=_flag(data, "star_elements_all_undetected", False),
         limit=_optional_int(data, "limit"),
     )

@@ -32,8 +32,10 @@ _SIGNS = (+1, -1)  # +1 sorts before -1 in every canonical enumeration
 class _Value:
     """An immutable value: equality (within one class), hash and repr are those of
     the tuple of its ``_fields``, and assigning or deleting an attribute raises
-    AttributeError.  ``__init__`` validates, then sets the fields with ``_set``, or
-    with ``object.__setattr__`` in a class built in bulk (``_set`` is slower)."""
+    AttributeError.  ``__init__`` validates, then sets the fields with ``_set`` (one
+    ``__dict__.update``) or an update of its own.  The values hot loops read
+    (``Site``, ``MicroState``, ``DDistribution``) use ``object.__setattr__``: it
+    keeps attributes inline, where ``__dict__`` gives an instance a dict of its own."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -42,8 +44,7 @@ class _Value:
         return tuple(getattr(self, name) for name in self._fields)
 
     def _set(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -74,7 +75,8 @@ class Site(_Value):
             raise ValueError(f"axis must be an Axis, got {axis!r}")
         if type(particle) is not int or particle not in PARTICLES:
             raise ValueError(f"particle must be 1, 2 or 3, got {particle!r}")
-        self._set(axis, particle)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "particle", particle)
         object.__setattr__(self, "index", 3 * (particle - 1) + AXES.index(axis))
         object.__setattr__(self, "_hash", hash((axis, particle)))
 
@@ -115,7 +117,7 @@ class MicroState(_Value):
     occasionally useful for sanity checks) but only GHZ-compatible states,
     those with equal z-values, take part in any model-level operation.
     ``_signs`` is the state as a sign mask: bit i set where the value at site
-    i is -1.
+    i is -1; ``_hash`` is the hash of ``(values,)``, stored once.
     """
 
     _fields = ("values",)
@@ -127,14 +129,10 @@ class MicroState(_Value):
             raise ValueError(f"microstate values must be +/-1: {values!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_signs", sum(1 << i for i, v in enumerate(values) if v < 0))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values  # type: ignore[attr-defined]
+        object.__setattr__(self, "_hash", hash((values,)))
 
     def __hash__(self) -> int:
-        return hash((self.values,))
+        return self._hash
 
     def value(self, site: Site) -> int:
         return self.values[site.index]
@@ -251,7 +249,7 @@ class MeasurementContext(_Value):
         particles = [s.particle for s in sites]
         if len(set(particles)) != len(particles):
             raise ValueError(f"two observables on one particle: {self.label_of(sites)}")
-        object.__setattr__(self, "sites", sites)
+        self._set(sites)
 
     @staticmethod
     def label_of(sites: tuple[Site, ...]) -> str:

@@ -167,7 +167,11 @@ def test_probs_incompatible_context(capsys):
     assert code == 2
     assert "x1,y1" in err
     # an empty site or an empty --outcomes is an error, not left out
-    for argv in (["x1", "--outcomes", ""], ["x1,,y2"], ["x1,"], [",x1"], [""]):
+    for argv in (
+        ["x1", "--outcomes", ""], ["x1,,y2"], ["x1,"], [",x1"], [""],
+        [" x1"], ["x1, y2"], ["x1,y2", "--outcomes", " 1 , -1"], ["x1", "--outcomes", "1"],
+        ["x1,y2", "--outcomes", "+1, -1"],
+    ):
         code, out, err = run(capsys, "probs", "M1", *argv)
         assert (code, out) == (2, "") and err.startswith("error: "), argv
 

@@ -51,6 +51,22 @@ def test_spec_rejects_bad_ranges():
         with pytest.raises(ValueError, match="bad limit"):
             SearchSpec(failure_count=2, limit=limit).validate()
     SearchSpec(failure_count=2, limit=sys.maxsize).validate()
+    # an integer n is the range (n, n); anything else but a pair of integers is refused
+    SearchSpec(failure_count=3, ddists_per_state=1).validate()
+    for bad in (0, -2, True, 1.0, "1", (1,), (1, 2, 3), ("1", 2), (1, 2.0), (True, 1), {1: 2}):
+        with pytest.raises(ValueError, match="bad ddists_per_state range"):
+            SearchSpec(failure_count=2, ddists_per_state=bad).validate()
+
+
+def test_integer_family_size_streams_as_its_range():
+    assert SearchSpec(failure_count=3, ddists_per_state=1) == SearchSpec(
+        failure_count=3, ddists_per_state=(1, 1)
+    )
+    for n, pair in ((1, (1, 1)), (2, (2, 2))):
+        as_int = list(search_models(SearchSpec(failure_count=2, ddists_per_state=n, limit=6)))
+        as_pair = list(search_models(SearchSpec(failure_count=2, ddists_per_state=pair, limit=6)))
+        assert len(as_int) == 6
+        assert [(m.name, m.assignment) for m in as_int] == [(m.name, m.assignment) for m in as_pair]
 
 
 def test_m3_shaped_search_emits_m3(m3):

@@ -90,6 +90,65 @@ def test_readers_hand_out_one_shared_instance_per_value(m3):
         model_from_json(document)
 
 
+def test_readers_refuse_non_integers_at_every_position(m3):
+    canonical = model_to_json(m3)
+    for i, bad in itertools.product(range(9), (True, False, 1.0, -1.0, "1", None, [1])):
+        values = [1] * 9
+        values[i] = bad
+        message = f"microstate must be a JSON array of 9 integers: {values!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            microstate_from_json(values)
+        # in the first entry of a canonical document and in a later one
+        for entry in (0, 77):
+            document = copy.deepcopy(canonical)
+            document["states"][entry]["values"][i] = bad
+            values = document["states"][entry]["values"]
+            message = f"microstate must be a JSON array of 9 integers: {values!r}"
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                model_from_json(document)
+
+
+def _message(document):
+    with pytest.raises(FormatError) as info:
+        model_from_json(document)
+    return str(info.value)
+
+
+def test_documents_out_of_canonical_order_read_as_before(m1, m2):
+    """Swapped, repeated and missing entries: the model or the message of a
+    reader that maps every entry by its state."""
+    for model in (m1, m2):
+        canonical = model_to_json(model)
+        states = canonical["states"]
+        labels = [state.label for state, _ in model.assignment]
+        swapped = copy.deepcopy(canonical)
+        swapped["states"][3], swapped["states"][70] = states[70], states[3]
+        assert model_from_json(swapped) == model
+        reversed_ = {**canonical, "states": states[::-1]}
+        assert model_from_json(reversed_) == model
+        repeated = {**canonical, "states": states[:70] + [states[3]] + states[71:]}
+        assert _message(repeated) == f"duplicate state {labels[3]} in model document"
+        appended = {**canonical, "states": states + [states[127]]}
+        assert _message(appended) == f"duplicate state {labels[127]} in model document"
+        first_again = {**canonical, "states": [states[0]] + states[:127]}
+        assert _message(first_again) == f"duplicate state {labels[0]} in model document"
+        for missing in ({**canonical, "states": states[:70] + states[71:]},
+                        {**canonical, "states": states[:127]}):
+            assert _message(missing) == "state map must cover exactly the GHZ-compatible states"
+        # a d-distribution repeated within one state, at the start, middle or end
+        for entry in (0, 70, 127):
+            repeat = copy.deepcopy(canonical)
+            repeat["states"][entry]["ddists"].append(states[entry]["ddists"][0])
+            assert _message(repeat) == f"state {labels[entry]} lists a d-distribution more than once"
+        # an error in a late entry is reported as such, in order or not
+        for document in (copy.deepcopy(canonical), copy.deepcopy(swapped)):
+            document["states"][100]["ddists"] = []
+            assert _message(document) == f"state {labels[100]} needs a nonempty 'ddists' array"
+            document["states"][101]["ddists"] = []
+            document["states"][100] = states[5]
+            assert _message(document) == f"duplicate state {labels[5]} in model document"
+
+
 def test_model_round_trip(m3, m1, m2):
     for model in (m3, m1, m2):
         document = model_to_json(model)
@@ -130,7 +189,7 @@ def test_context_parsing():
         parse_context_arg("x1,y1")
     with pytest.raises(ValueError):
         parse_context_arg("q7")
-    for text in ("", "x1,,y2", "x1,", ",x1", "x1, ,y2"):
+    for text in ("", "x1,,y2", "x1,", ",x1", "x1, ,y2", " x1", "x1 ", "x1, y2", "x1\t,y2", "\nx1"):
         with pytest.raises(ValueError):
             parse_context_arg(text)
 
@@ -142,6 +201,10 @@ def test_outcomes_parsing():
         parse_outcomes_arg("+1", ctx)
     with pytest.raises(ValueError):
         parse_outcomes_arg("+1,0", ctx)
+    # exactly +1 or -1: no bare 1, no spaces around a sign
+    for text in (" 1 , -1", "1,-1", "+1,1", "+1, -1", " +1,-1", "+1,-1 ", "+ 1,-1", "+1,,-1"):
+        with pytest.raises(ValueError, match="outcomes must be"):
+            parse_outcomes_arg(text, ctx)
 
 
 def test_assignment_json_shape():

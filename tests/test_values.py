@@ -4,6 +4,7 @@ Every record class is a plain class on one private base, not a dataclass:
 these tests pin the behaviour a frozen dataclass gave them.
 """
 
+import itertools
 import os
 import re
 import subprocess
@@ -33,10 +34,12 @@ from ghzlocal import (
     Site,
     Triad,
     VerificationReport,
+    enumerate_ghz_microstates,
     model_m1,
     model_m3,
 )
 from ghzlocal.cli import CommandOutcome
+from ghzlocal.serialize import ddistribution_from_json, microstate_from_json
 from ghzlocal.state_space import _Value
 
 PLUS = (1,) * 9
@@ -141,6 +144,23 @@ def test_record_value_semantics(cls, fields, first, second, n_defaults, text):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert tuple(getattr(value, name) for name in fields) == first
+
+
+def test_stored_hashes_are_those_of_fresh_equal_values():
+    # MicroState and DDistribution compute their hash once, at construction;
+    # every shared instance must hash as an equal value built now does
+    for state in enumerate_ghz_microstates():
+        fresh = MicroState(state.values)
+        assert hash(state) == hash(fresh) == hash((state.values,))
+        assert hash(microstate_from_json(list(state.values))) == hash(fresh)
+        assert {fresh: 1}[state] == 1 and {state: 1}[fresh] == 1
+    for flags in itertools.product("DU", repeat=9):
+        fresh = DDistribution(tuple(flags))
+        shared = ddistribution_from_json(list(flags))
+        assert hash(shared) == hash(fresh) == hash((fresh.flags,))
+        assert {fresh: 1}[shared] == 1 and {shared: 1}[fresh] == 1
+        # the reader and the search's builder hand out one instance per flags tuple
+        assert DDistribution.with_undetected(fresh.undetected_sites) is shared
 
 
 def test_same_values_in_different_classes_are_unequal():
