@@ -88,10 +88,8 @@ class DDistribution(_Value):
 
     @classmethod
     def with_undetected(cls, sites: Iterable[Site]) -> "DDistribution":
-        """The shared instance that leaves exactly the given sites undetected."""
         undetected = {s.index for s in sites}
-        flags = tuple(UNDETECTED if i in undetected else DETECTED for i in range(9))
-        return _DDISTRIBUTIONS.get(flags) or _DDISTRIBUTIONS.setdefault(flags, cls(flags))
+        return _shared_ddistribution(tuple(UNDETECTED if i in undetected else DETECTED for i in range(9)))
 
     def detects(self, site: Site) -> bool:
         return self.flags[site.index] == DETECTED
@@ -108,9 +106,13 @@ class DDistribution(_Value):
         return f"DDistribution({''.join(self.flags)})"
 
 
-# the one shared instance per flags tuple that readers and builders hand out;
-# only valid flags get in, so it holds at most 512
 _DDISTRIBUTIONS: dict[tuple[str, ...], DDistribution] = {}
+
+
+def _shared_ddistribution(flags: tuple[str, ...]) -> DDistribution:
+    """The one shared instance per flags tuple, built and stored on first use.
+    Invalid flags raise ValueError and are never stored: at most 512 entries."""
+    return _DDISTRIBUTIONS.get(flags) or _DDISTRIBUTIONS.setdefault(flags, DDistribution(flags))
 
 
 class MSpecification(_Value):
@@ -123,7 +125,7 @@ class MSpecification(_Value):
             raise ValueError(f"m-specification needs 9 values, got {len(values)}")
         if any(v not in (-1, 0, +1) for v in values):
             raise ValueError(f"m-specification values must be -1, 0 or +1: {values!r}")
-        self._set(values)
+        object.__setattr__(self, "values", values)
 
     def value(self, site: Site) -> int:
         return self.values[site.index]
@@ -375,9 +377,11 @@ class AcFailure(_Value):
         actual: Fraction,
         rule: str = "ac",
     ) -> None:
-        self.__dict__.update(
-            context=context, assignment=assignment, expected=expected, actual=actual, rule=rule
-        )
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "rule", rule)
 
 
 class DmFailure(_Value):
@@ -386,7 +390,10 @@ class DmFailure(_Value):
     def __init__(
         self, state: MicroState, ddist: DDistribution, triad: Triad, rule: str = "dm"
     ) -> None:
-        self.__dict__.update(state=state, ddist=ddist, triad=triad, rule=rule)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "ddist", ddist)
+        object.__setattr__(self, "triad", triad)
+        object.__setattr__(self, "rule", rule)
 
 
 class CountFailure(_Value):
@@ -488,7 +495,7 @@ class Combination(_Value):
             raise ValueError(f"combination needs 6 slots, got {len(slots)}")
         if any(s not in _SLOT_ORDER for s in slots):
             raise ValueError(f"slots must be '+1', '-1' or 'D': {slots!r}")
-        self._set(slots)
+        object.__setattr__(self, "slots", slots)
 
     @property
     def surviving_triads(self) -> int:

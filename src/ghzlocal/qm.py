@@ -43,7 +43,8 @@ class OutcomeAssignment(_Value):
             raise ValueError(f"{len(outcomes)} outcomes for {len(context.sites)} sites")
         if any(v not in (-1, +1) for v in outcomes):
             raise ValueError(f"outcomes must be +/-1: {outcomes!r}")
-        self.__dict__.update(context=context, outcomes=outcomes)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "outcomes", outcomes)
 
     def items(self) -> Iterator[tuple[Site, int]]:
         return zip(self.context.sites, self.outcomes)

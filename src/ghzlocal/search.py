@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Any, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .models import (
     CensusRecord,
@@ -32,16 +32,11 @@ from .models import (
     VerificationReport,
     census,
 )
-from .state_space import SITES, XY_SITES, PartitionElement, Site, _Value
+from .state_space import SITES, XY_SITES, PartitionElement, Site, _is_int, _Value
 
 
 class UnboundedSearchError(ValueError):
     """The constraint profile does not bound the search space."""
-
-
-def _is_int(value: Any) -> bool:
-    # bool is an int subclass, but true/false are not integers in a document
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SearchSpec(_Value):

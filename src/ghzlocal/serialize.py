@@ -20,13 +20,12 @@ from .models import (
     DDistribution,
     DmFailure,
     Model,
-    N_STATES,
     VerificationReport,
-    _DDISTRIBUTIONS,
+    _shared_ddistribution,
 )
 from .qm import OutcomeAssignment
-from .search import SearchSpec, _is_int
-from .state_space import MeasurementContext, MicroState, Site, _ghz_microstates
+from .search import SearchSpec
+from .state_space import MeasurementContext, MicroState, Site, _ghz_microstates, _is_int
 
 SCHEMA_VERSION = 1
 _NINE_INTS = (int,) * 9  # the value types of a microstate as a document gives it
@@ -93,12 +92,12 @@ def ddistribution_from_json(flags: Any) -> DDistribution:
     """One shared instance per flags tuple."""
     if not isinstance(flags, list) or len(flags) != 9:
         raise FormatError(f"d-distribution must be a JSON array of 9 flags: {flags!r}")
-    try:  # the flags of a shared instance are exact strings, so a hit needs no str()
-        return _DDISTRIBUTIONS[tuple(flags)]
-    except (KeyError, TypeError):  # TypeError: an unhashable flag
-        key = tuple(map(str, flags))
+    try:  # valid flags arrive as exact strings and need no str()
+        return _shared_ddistribution(tuple(flags))
+    except (TypeError, ValueError):  # an unhashable or invalid flag
+        pass
     try:
-        return _DDISTRIBUTIONS.setdefault(key, DDistribution(key))
+        return _shared_ddistribution(tuple(map(str, flags)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -128,12 +127,7 @@ def model_from_json(data: Any) -> Model:
     states = data.get("states")
     if not isinstance(name, str) or not isinstance(states, list):
         raise FormatError("model document needs string 'name' and array 'states'")
-    # Entries that give the shared states in canonical order are distinct by
-    # construction and need no state map.  From the first entry that does not,
-    # the entries read so far and all later ones go through one.
-    canonical = tuple(_ghz_microstates().values())
-    families: list[list[DDistribution]] = []  # the canonical prefix
-    mapping: dict[MicroState, list[DDistribution]] = {}
+    read: dict[int, list[DDistribution]] = {}  # keyed by sign mask, one per state
     for entry in states:
         if not isinstance(entry, dict) or "values" not in entry or "ddists" not in entry:
             raise FormatError(f"model state entry needs 'values' and 'ddists': {entry!r}")
@@ -141,22 +135,14 @@ def model_from_json(data: Any) -> Model:
         ddists = entry["ddists"]
         if not isinstance(ddists, list) or not ddists:
             raise FormatError(f"state {state.label} needs a nonempty 'ddists' array")
-        if not mapping and len(families) < N_STATES and state is canonical[len(families)]:
-            families.append([ddistribution_from_json(d) for d in ddists])
-            continue
-        mapping = mapping or dict(zip(canonical, families))
-        if state in mapping:
+        if state._signs in read:
             raise FormatError(f"duplicate state {state.label} in model document")
-        mapping[state] = [ddistribution_from_json(d) for d in ddists]
-    if mapping or len(families) != N_STATES:
-        try:
-            # empty for a canonical prefix short of 128 states, refused all the same
-            model = Model.from_state_map(name, mapping)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        families = [mapping[state] for state in canonical]
-    else:
-        model = Model(name, tuple(zip(canonical, families)))
+        read[state._signs] = [ddistribution_from_json(d) for d in ddists]
+    canonical = _ghz_microstates().values()
+    families = [read.pop(state._signs, None) for state in canonical]
+    if read or None in families:
+        raise FormatError("state map must cover exactly the GHZ-compatible states")
+    model = Model(name, tuple(zip(canonical, families)))
     # the model merges a repeated d-distribution; a document must not repeat one
     for (state, family), listed in zip(model.assignment, families):
         if len(family) != len(listed):

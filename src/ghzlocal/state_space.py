@@ -29,13 +29,16 @@ PARTICLES: tuple[int, ...] = (1, 2, 3)
 _SIGNS = (+1, -1)  # +1 sorts before -1 in every canonical enumeration
 
 
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but true/false are not integers in a document
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Value:
     """An immutable value: equality (within one class), hash and repr are those of
     the tuple of its ``_fields``, and assigning or deleting an attribute raises
-    AttributeError.  ``__init__`` validates, then sets the fields with ``_set`` (one
-    ``__dict__.update``) or an update of its own.  The values hot loops read
-    (``Site``, ``MicroState``, ``DDistribution``) use ``object.__setattr__``: it
-    keeps attributes inline, where ``__dict__`` gives an instance a dict of its own."""
+    AttributeError.  ``__init__`` validates, then sets the fields with ``_set``, or
+    with ``object.__setattr__`` in a class built in bulk (``_set`` is slower)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -44,7 +47,8 @@ class _Value:
         return tuple(getattr(self, name) for name in self._fields)
 
     def _set(self, *values: object) -> None:
-        self.__dict__.update(zip(self._fields, values))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -75,8 +79,7 @@ class Site(_Value):
             raise ValueError(f"axis must be an Axis, got {axis!r}")
         if type(particle) is not int or particle not in PARTICLES:
             raise ValueError(f"particle must be 1, 2 or 3, got {particle!r}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "particle", particle)
+        self._set(axis, particle)
         object.__setattr__(self, "index", 3 * (particle - 1) + AXES.index(axis))
         object.__setattr__(self, "_hash", hash((axis, particle)))
 
@@ -249,7 +252,7 @@ class MeasurementContext(_Value):
         particles = [s.particle for s in sites]
         if len(set(particles)) != len(particles):
             raise ValueError(f"two observables on one particle: {self.label_of(sites)}")
-        self._set(sites)
+        object.__setattr__(self, "sites", sites)
 
     @staticmethod
     def label_of(sites: tuple[Site, ...]) -> str:

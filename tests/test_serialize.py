@@ -24,6 +24,7 @@ from ghzlocal import (
     verify_dm,
 )
 from ghzlocal.builtin import reproduce_section4
+from ghzlocal.models import _DDISTRIBUTIONS
 from ghzlocal.serialize import (
     FormatError,
     assignment_to_json,
@@ -90,6 +91,19 @@ def test_readers_hand_out_one_shared_instance_per_value(m3):
         model_from_json(document)
 
 
+def test_ddistribution_reader_refuses_other_flags_by_their_text():
+    # a flag that is not exactly "D" or "U" is reported as str() gives it,
+    # and no refused tuple enters the shared table
+    for i, bad in itertools.product(range(9), (1, None, True, [1], {"D": 1}, "d", "DU", "")):
+        flags = ["D"] * 9
+        flags[i] = bad
+        message = f"flags must be 'D' or 'U': {tuple(map(str, flags))!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            ddistribution_from_json(flags)
+    assert len(_DDISTRIBUTIONS) <= 512
+    assert all(set(flags) <= {"D", "U"} for flags in _DDISTRIBUTIONS)
+
+
 def test_readers_refuse_non_integers_at_every_position(m3):
     canonical = model_to_json(m3)
     for i, bad in itertools.product(range(9), (True, False, 1.0, -1.0, "1", None, [1])):
@@ -132,6 +146,14 @@ def test_documents_out_of_canonical_order_read_as_before(m1, m2):
         assert _message(appended) == f"duplicate state {labels[127]} in model document"
         first_again = {**canonical, "states": [states[0]] + states[:127]}
         assert _message(first_again) == f"duplicate state {labels[0]} in model document"
+        # a state that is not GHZ-compatible: refused at the end, or as a repeat
+        stray = {"values": [1, 1, 1, 1, 1, -1, 1, 1, 1], "ddists": states[0]["ddists"]}
+        stray_label = MicroState(tuple(stray["values"])).label
+        for document in ({**canonical, "states": states[:70] + [stray] + states[71:]},
+                         {**canonical, "states": states + [stray]}):
+            assert _message(document) == "state map must cover exactly the GHZ-compatible states"
+        twice = {**canonical, "states": [stray] + states[:127] + [stray]}
+        assert _message(twice) == f"duplicate state {stray_label} in model document"
         for missing in ({**canonical, "states": states[:70] + states[71:]},
                         {**canonical, "states": states[:127]}):
             assert _message(missing) == "state map must cover exactly the GHZ-compatible states"
