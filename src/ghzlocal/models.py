@@ -169,7 +169,10 @@ class Model(_Value):
         for state, family in assignment:
             fixed = done.get(id(family))
             if fixed is None:
-                fixed = done[id(family)] = tuple(sorted(set(family), key=attrgetter("flags")))
+                fixed = tuple(family)
+                if len(fixed) != 1 or fixed[0].__class__ is not DDistribution:
+                    fixed = tuple(sorted(set(fixed), key=attrgetter("flags")))
+                done[id(family)] = fixed
                 if not fixed:
                     raise ValueError(f"empty d-distribution family at {state.label}")
             canonical.append((state, fixed))

@@ -11,11 +11,12 @@ holds by construction, and adequacy (AC) follows from a lemma:
 All states of E detect C with one weight w_E(C), which DM sets to 0 on E's
 violated triads, so P(o | C detected) = sum_E w_E(C)*16*qm(o) / sum_E w_E(C)*16
 = qm(o).  The search is therefore the plain product of the per-class family
-lists; ``test_class_counts_match_qm_off_violated_triads`` in
-tests/test_search.py guards the lemma.  Candidate masks are ordered by how
-redundantly they cover the violated triads (ties broken lexicographically), so
-maximal-coverage models stream first and bounded prefixes are meaningful;
-identical specs always produce identical streams.
+lists, each drawn from one candidate list per class per search;
+``test_class_counts_match_qm_off_violated_triads`` in tests/test_search.py
+guards the lemma.  A mask hits a triad when its site bits meet the triad's;
+candidates are ordered by how redundantly they cover the violated triads (ties
+broken by site labels), so maximal-coverage models stream first and bounded
+prefixes are meaningful; identical specs always produce identical streams.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .models import (
     VerificationReport,
     census,
 )
-from .state_space import SITES, XY_SITES, PartitionElement, Site, _is_int, _Value
+from .state_space import SITES, XY_SITES, PartitionElement, Site, _TRIAD_MASKS, _is_int, _Value
 
 
 class UnboundedSearchError(ValueError):
@@ -91,11 +92,6 @@ class SearchSpec(_Value):
             raise ValueError(f"bad limit: {self.limit}")
 
 
-def _coverage(mask: tuple[Site, ...], element: PartitionElement) -> int:
-    """How many (site, violated triad) incidences the mask realizes."""
-    return sum(1 for site in mask for triad in element.violated if site in triad.sites)
-
-
 def feasible_masks(element: PartitionElement, spec: SearchSpec) -> list[tuple[Site, ...]]:
     """Undetected-site masks compatible with detection masking for the class.
 
@@ -103,37 +99,42 @@ def feasible_masks(element: PartitionElement, spec: SearchSpec) -> list[tuple[Si
     ordered by descending violated-triad coverage, then by site labels.
     """
     pool = XY_SITES if spec.z_always_detected else SITES
-    masks = []
+    violated = [_TRIAD_MASKS[t] for t in element.violated]
+    ranked = []
     for mask in itertools.combinations(pool, spec.failure_count or 0):
-        if all(any(s in triad.sites for s in mask) for triad in element.violated):
-            masks.append(mask)
-    masks.sort(key=lambda m: (-_coverage(m, element), tuple(s.label for s in m)))
-    return masks
+        bits = sum(1 << s.index for s in mask)
+        hits = [(bits & t).bit_count() for t in violated]
+        if all(hits):
+            ranked.append((-sum(hits), tuple(s.label for s in mask), mask))
+    ranked.sort()
+    return [mask for _, _, mask in ranked]
 
 
-def _families(
-    element: PartitionElement, spec: SearchSpec
-) -> Iterator[tuple[DDistribution, ...]]:
+def _candidates(element: PartitionElement, spec: SearchSpec) -> tuple[list[DDistribution], range]:
+    """The class's candidate d-distributions and its range of family sizes;
+    a starred class under the escape has the one all-undetected candidate."""
     if spec.star_elements_all_undetected and element.is_starred:
-        yield (DDistribution.all_undetected(),)
-        return
-    candidates = [DDistribution.with_undetected(m) for m in feasible_masks(element, spec)]
-    lo, hi = spec.ddists_per_state or (1, len(candidates))
-    for size in range(max(1, lo), min(hi, len(candidates)) + 1):
-        yield from itertools.combinations(candidates, size)
+        return [DDistribution.all_undetected()], range(1, 2)
+    # a list: held as tuples, the candidates raised a long search loop's peak RSS
+    ddists = [DDistribution.with_undetected(m) for m in feasible_masks(element, spec)]
+    lo, hi = spec.ddists_per_state or (1, len(ddists))
+    return ddists, range(lo, min(hi, len(ddists)) + 1)
 
 
 def _products(
-    elements: list[PartitionElement], spec: SearchSpec
+    classes: list[tuple[list[DDistribution], range]]
 ) -> Iterator[tuple[tuple[DDistribution, ...], ...]]:
-    """Lazy Cartesian product of the classes' family lists, first class
-    outermost; inner lists are regenerated per prefix, never materialised."""
-    if not elements:
+    """Lazy Cartesian product of the classes' families, first class outermost;
+    a class's families (size-major, then combinations order) are regenerated
+    per prefix from its one ``_candidates`` list, never materialised."""
+    if not classes:
         yield ()
         return
-    for family in _families(elements[0], spec):
-        for rest in _products(elements[1:], spec):
-            yield (family,) + rest
+    (ddists, sizes), rest = classes[0], classes[1:]
+    for size in sizes:
+        for family in itertools.combinations(ddists, size):
+            for tail in _products(rest):
+                yield (family,) + tail
 
 
 def search_models(spec: SearchSpec) -> Iterator[Model]:
@@ -145,12 +146,12 @@ def search_models(spec: SearchSpec) -> Iterator[Model]:
     """
     spec.validate()
     elements = list(PartitionElement)
+    classes = [_candidates(element, spec) for element in elements]
     # Probe feasibility up front so an unsatisfiable class cannot hide behind
     # a combinatorially large prefix of satisfiable ones.
-    for element in elements:
-        if next(_families(element, spec), None) is None:
-            return
-    products = itertools.islice(_products(elements, spec), spec.limit)
+    if not all(sizes for _, sizes in classes):
+        return
+    products = itertools.islice(_products(classes), spec.limit)
     for n, families in enumerate(products, start=1):
         yield Model.from_element_families(f"model-{n:04d}", dict(zip(elements, families)))
 

@@ -175,15 +175,10 @@ class Triad(Enum):
         return MeasurementContext(self.sites)
 
 
-def _site(label: str) -> Site:
-    return Site.from_label(label)
-
-
+# The ``SITES`` entries themselves, so ``site in triad.sites`` hits by identity.
 _TRIAD_SITES: dict[Triad, tuple[Site, Site, Site]] = {
-    Triad.I: (_site("x1"), _site("y2"), _site("y3")),
-    Triad.II: (_site("y1"), _site("x2"), _site("y3")),
-    Triad.III: (_site("y1"), _site("y2"), _site("x3")),
-    Triad.IV: (_site("x1"), _site("x2"), _site("x3")),
+    triad: tuple(s for s in SITES if s.label in labels.split())
+    for triad, labels in zip(Triad, ("x1 y2 y3", "y1 x2 y3", "y1 y2 x3", "x1 x2 x3"))
 }
 _TRIAD_MASKS: dict[Triad, int] = {t: sum(1 << s.index for s in t.sites) for t in Triad}
 

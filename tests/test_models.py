@@ -326,6 +326,13 @@ def test_model_families_are_normalized():
     assert direct == mapped
     assert [family for _, family in direct.assignment[:3]] == [(dd1, dd3), (dd1, dd3, dd2), (dd1,)]
     assert Model("normalized", tuple((s, mapping[s]) for s in states)) == model
+    # a family of one, given as a fresh d-distribution equal to a shared one
+    fresh = Model("normalized", tuple((s, [DDistribution(dd3.flags)]) for s in states))
+    assert fresh == Model("normalized", tuple((s, (dd3,)) for s in states))
+    assert [family for _, family in fresh.assignment[:2]] == [(dd3,), (dd3,)]
+    # a lone non-d-distribution is refused as in a longer family: it has no flags
+    with pytest.raises(AttributeError):
+        Model("normalized", tuple((s, [dd3.flags]) for s in states))
 
 
 def test_shared_family_object_is_canonicalised_for_every_state():

@@ -3,6 +3,7 @@ and the class-count lemma that makes the search a plain product."""
 
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 
@@ -21,8 +22,9 @@ from ghzlocal import (
     verify_counts,
     verify_dm,
 )
+from ghzlocal import search
 from ghzlocal.search import feasible_masks
-from ghzlocal.state_space import PartitionElement
+from ghzlocal.state_space import SITES, XY_SITES, PartitionElement
 
 
 M3_SHAPE = SearchSpec(failure_count=3, ddists_per_state=(1, 1), limit=4)
@@ -152,15 +154,77 @@ def test_violated_triads_break_class_counts():
             assert any(_class_residuals(element, triad.context)), (element, triad)
 
 
+def _reference_masks(element, spec):
+    """feasible_masks from Site objects and triad site tuples, no bit masks:
+    every mask of the pool that shares a site with each violated triad, ordered
+    by descending (site, violated triad) incidences, then by site labels."""
+    pool = XY_SITES if spec.z_always_detected else SITES
+    masks = [
+        mask for mask in itertools.combinations(pool, spec.failure_count)
+        if all(any(s in triad.sites for s in mask) for triad in element.violated)
+    ]
+
+    def coverage(mask):
+        return sum(1 for site in mask for triad in element.violated if site in triad.sites)
+
+    return sorted(masks, key=lambda m: (-coverage(m), tuple(s.label for s in m)))
+
+
+@pytest.mark.parametrize("z_always_detected", [True, False])
+@pytest.mark.parametrize("failure_count", range(10))
+def test_feasible_masks_match_site_reference(failure_count, z_always_detected):
+    # the premise of the bit-mask shortcut: same masks, same order, every class
+    spec = SearchSpec(failure_count=failure_count, z_always_detected=z_always_detected)
+    for element in PartitionElement:
+        assert feasible_masks(element, spec) == _reference_masks(element, spec), element
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=1),
+        SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=200),
+        SearchSpec(failure_count=1, star_elements_all_undetected=True, limit=50),
+    ],
+    ids=["fc2-first-model", "fc2-many-prefixes", "fc1-starred-escape"],
+)
+def test_candidates_are_computed_once_per_class_per_search(spec, monkeypatch):
+    calls = Counter()
+
+    def counting(element, search_spec):
+        calls[element] += 1
+        return feasible_masks(element, search_spec)
+
+    monkeypatch.setattr(search, "feasible_masks", counting)
+    models = list(search_models(spec))
+    assert len(models) == spec.limit
+    searched = [
+        el for el in PartitionElement
+        if not (spec.star_elements_all_undetected and el.is_starred)
+    ]
+    assert calls == Counter(searched)
+
+
+def test_family_size_above_a_class_candidate_count_gives_empty_stream():
+    # fc=3: starred classes have 17 candidates, triple intersections 19
+    assert list(search_models(SearchSpec(failure_count=3, ddists_per_state=18))) == []
+    assert len(list(search_models(SearchSpec(failure_count=3, ddists_per_state=17, limit=3)))) == 3
+    # the starred escape leaves the triple intersections, last in class order,
+    # 3 candidates each at fc=1
+    escape = dict(failure_count=1, star_elements_all_undetected=True)
+    assert list(search_models(SearchSpec(**escape, ddists_per_state=4))) == []
+    assert len(list(search_models(SearchSpec(**escape, ddists_per_state=3)))) == 1
+
+
 def _reference_stream(spec):
-    """Eager product of per-class families built from feasible_masks, first
+    """Eager product of per-class families built from _reference_masks, first
     class outermost, keeping the candidates that pass full AC and DM."""
     per_class = []
     for element in PartitionElement:
         if spec.star_elements_all_undetected and element.is_starred:
             per_class.append([(DDistribution.all_undetected(),)])
             continue
-        ddists = [DDistribution.with_undetected(m) for m in feasible_masks(element, spec)]
+        ddists = [DDistribution.with_undetected(m) for m in _reference_masks(element, spec)]
         lo, hi = spec.ddists_per_state or (1, len(ddists))
         per_class.append(
             [fam for k in range(lo, hi + 1) for fam in itertools.combinations(ddists, k)]

@@ -66,6 +66,13 @@ def test_triad_sites_and_signs():
     assert [t.required_sign for t in Triad] == [1, 1, 1, -1]
 
 
+def test_triad_sites_are_the_canonical_instances():
+    # `site in triad.sites` then hits by identity, without a Site.__eq__ call
+    for triad in Triad:
+        for site in triad.sites:
+            assert site is SITES[site.index]
+
+
 def test_triad_product_examples():
     assert triad_product(ALL_PLUS, Triad.I) == 1
     flipped = MicroState((-1,) + (1,) * 8)  # i1 = -1
