@@ -244,8 +244,7 @@ def _m3_rows(model: Model) -> list[_Row]:
     # the I0 class yields the 8 outcome patterns (i1,0,k; 0,j2,k; 0,j3,k) with j3 = i1*j2
     patterns = {(i1, 0, k, 0, j2, k, 0, i1 * j2, k) for k in (1, -1) for i1 in (1, -1) for j2 in (1, -1)}
     i0_specs = {m_specification(s, model.family(s)[0]).values for s in i0_states}
-    first_triad = _site_mask(Triad.I.sites)
-    triple_detected = {state for state, family in model.assignment if _detecting(family, first_triad)}
+    triple_detected = {state for state, family in model.assignment if _detecting(family, Triad.I.mask)}
     tally = Counter(dist.masses.values())
     return [
         ("deterministic", "yes", _yes(is_deterministic(model))),

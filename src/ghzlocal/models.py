@@ -37,7 +37,6 @@ from .state_space import (
     PartitionElement,
     Site,
     Triad,
-    _TRIAD_MASKS,
     _Value,
     _state_classes,
     enumerate_contexts,
@@ -80,11 +79,11 @@ class DDistribution(_Value):
 
     @classmethod
     def all_detected(cls) -> "DDistribution":
-        return cls((DETECTED,) * 9)
+        return _shared_ddistribution((DETECTED,) * 9)
 
     @classmethod
     def all_undetected(cls) -> "DDistribution":
-        return cls((UNDETECTED,) * 9)
+        return _shared_ddistribution((UNDETECTED,) * 9)
 
     @classmethod
     def with_undetected(cls, sites: Iterable[Site]) -> "DDistribution":
@@ -466,7 +465,7 @@ def verify_dm(model: Model) -> VerificationReport:
     failures: list[Failure] = []
     for (state, family), (_, element) in zip(model.assignment, _state_classes()):
         for triad in element.violated:
-            for ddist in _detecting(family, _TRIAD_MASKS[triad]):
+            for ddist in _detecting(family, triad.mask):
                 failures.append(DmFailure(state, ddist, triad))
     return VerificationReport("dm", tuple(failures))
 

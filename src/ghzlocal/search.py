@@ -33,7 +33,7 @@ from .models import (
     VerificationReport,
     census,
 )
-from .state_space import SITES, XY_SITES, PartitionElement, Site, _TRIAD_MASKS, _is_int, _Value
+from .state_space import SITES, XY_SITES, PartitionElement, Site, _is_int, _Value
 
 
 class UnboundedSearchError(ValueError):
@@ -99,7 +99,7 @@ def feasible_masks(element: PartitionElement, spec: SearchSpec) -> list[tuple[Si
     ordered by descending violated-triad coverage, then by site labels.
     """
     pool = XY_SITES if spec.z_always_detected else SITES
-    violated = [_TRIAD_MASKS[t] for t in element.violated]
+    violated = [t.mask for t in element.violated]
     ranked = []
     for mask in itertools.combinations(pool, spec.failure_count or 0):
         bits = sum(1 << s.index for s in mask)

@@ -22,6 +22,8 @@ class Axis(Enum):
     Y = "y"
     Z = "z"
 
+    __hash__ = object.__hash__  # == is identity; Enum's own hashes the name in Python
+
 
 AXES: tuple[Axis, ...] = (Axis.X, Axis.Y, Axis.Z)
 PARTICLES: tuple[int, ...] = (1, 2, 3)
@@ -155,32 +157,29 @@ class MicroState(_Value):
 
 
 class Triad(Enum):
-    """One of the four compatible three-site measurements with a forced product sign."""
+    """One of the four compatible three-site measurements with a forced product sign.
+
+    Each member carries ``sites``, its three ``SITES`` entries in canonical
+    order (so ``site in triad.sites`` hits by identity); ``mask``, bit i set
+    for each of them; and ``required_sign``, -1 for IV and +1 for the others.
+    """
 
     I = "I"
     II = "II"
     III = "III"
     IV = "IV"
 
-    @property
-    def sites(self) -> tuple[Site, Site, Site]:
-        return _TRIAD_SITES[self]
+    __hash__ = object.__hash__
 
-    @property
-    def required_sign(self) -> int:
-        return -1 if self is Triad.IV else +1
+    def __init__(self, value: str) -> None:
+        labels = {"I": "x1 y2 y3", "II": "y1 x2 y3", "III": "y1 y2 x3", "IV": "x1 x2 x3"}[value]
+        self.sites = tuple(s for s in SITES if s.label in labels.split())
+        self.mask = sum(1 << s.index for s in self.sites)
+        self.required_sign = -1 if value == "IV" else +1
 
     @property
     def context(self) -> "MeasurementContext":
         return MeasurementContext(self.sites)
-
-
-# The ``SITES`` entries themselves, so ``site in triad.sites`` hits by identity.
-_TRIAD_SITES: dict[Triad, tuple[Site, Site, Site]] = {
-    triad: tuple(s for s in SITES if s.label in labels.split())
-    for triad, labels in zip(Triad, ("x1 y2 y3", "y1 x2 y3", "y1 y2 x3", "x1 x2 x3"))
-}
-_TRIAD_MASKS: dict[Triad, int] = {t: sum(1 << s.index for s in t.sites) for t in Triad}
 
 
 class PartitionElement(Enum):
@@ -188,6 +187,9 @@ class PartitionElement(Enum):
 
     A state satisfies either exactly one triad (the starred classes I0..IV0)
     or exactly three (the triple intersections); each class holds 16 states.
+    Each member carries ``satisfied``, the frozenset of triads its value names;
+    ``violated``, the other triads in Triad order; and ``is_starred``, true
+    for the classes satisfying a single triad.
     """
 
     I0 = "I0"
@@ -199,36 +201,15 @@ class PartitionElement(Enum):
     I_III_IV = "I&III&IV"
     II_III_IV = "II&III&IV"
 
-    @property
-    def satisfied(self) -> frozenset[Triad]:
-        return _ELEMENT_SATISFIED[self]
+    __hash__ = object.__hash__
 
-    @property
-    def violated(self) -> tuple[Triad, ...]:
-        return _ELEMENT_VIOLATED[self]
-
-    @property
-    def is_starred(self) -> bool:
-        """True for the classes satisfying a single triad (I0, II0, III0, IV0)."""
-        return len(self.satisfied) == 1
+    def __init__(self, value: str) -> None:
+        self.satisfied = frozenset(Triad(t) for t in value.removesuffix("0").split("&"))
+        self.violated = tuple(t for t in Triad if t not in self.satisfied)
+        self.is_starred = len(self.satisfied) == 1
 
 
-_ELEMENT_SATISFIED: dict[PartitionElement, frozenset[Triad]] = {
-    PartitionElement.I0: frozenset({Triad.I}),
-    PartitionElement.II0: frozenset({Triad.II}),
-    PartitionElement.III0: frozenset({Triad.III}),
-    PartitionElement.IV0: frozenset({Triad.IV}),
-    PartitionElement.I_II_III: frozenset({Triad.I, Triad.II, Triad.III}),
-    PartitionElement.I_II_IV: frozenset({Triad.I, Triad.II, Triad.IV}),
-    PartitionElement.I_III_IV: frozenset({Triad.I, Triad.III, Triad.IV}),
-    PartitionElement.II_III_IV: frozenset({Triad.II, Triad.III, Triad.IV}),
-}
-_SATISFIED_TO_ELEMENT: dict[frozenset[Triad], PartitionElement] = {
-    sat: el for el, sat in _ELEMENT_SATISFIED.items()
-}
-_ELEMENT_VIOLATED: dict[PartitionElement, tuple[Triad, ...]] = {
-    el: tuple(t for t in Triad if t not in sat) for el, sat in _ELEMENT_SATISFIED.items()
-}
+_SATISFIED_TO_ELEMENT = {el.satisfied: el for el in PartitionElement}
 
 
 class MeasurementContext(_Value):
@@ -316,12 +297,10 @@ def classify(state: MicroState) -> PartitionElement:
 def _violated(signs: int) -> tuple[Triad, ...]:
     """The triads violated by a GHZ state with this sign mask, in Triad order.
 
-    A triad's product is -1 exactly when an odd number of its sites hold -1,
-    and only triad IV requires -1; ``classify`` is the reference.
+    A triad's product is -1 exactly when an odd number of its sites hold -1;
+    ``classify`` is the reference.
     """
-    return tuple(
-        t for t, mask in _TRIAD_MASKS.items() if (signs & mask).bit_count() % 2 != (t is Triad.IV)
-    )
+    return tuple(t for t in Triad if (-1) ** (signs & t.mask).bit_count() != t.required_sign)
 
 
 @lru_cache(maxsize=1)

@@ -26,6 +26,19 @@ from ghzlocal.state_space import _ghz_microstates, _state_classes
 ALL_PLUS = MicroState((1,) * 9)
 STATES = enumerate_ghz_microstates()
 
+I, II, III, IV = Triad.I, Triad.II, Triad.III, Triad.IV
+# The paper's class table: the triad constraints each partition class satisfies.
+CLASS_TABLE = {
+    PartitionElement.I0: {I},
+    PartitionElement.II0: {II},
+    PartitionElement.III0: {III},
+    PartitionElement.IV0: {IV},
+    PartitionElement.I_II_III: {I, II, III},
+    PartitionElement.I_II_IV: {I, II, IV},
+    PartitionElement.I_III_IV: {I, III, IV},
+    PartitionElement.II_III_IV: {II, III, IV},
+}
+
 
 def test_site_layout():
     assert len(SITES) == 9
@@ -71,6 +84,24 @@ def test_triad_sites_are_the_canonical_instances():
     for triad in Triad:
         for site in triad.sites:
             assert site is SITES[site.index]
+
+
+def test_triads_carry_their_masks_and_signs():
+    for triad in Triad:
+        assert triad.mask == sum(1 << s.index for s in triad.sites)
+        assert all(any(s is site for site in SITES) for s in triad.sites)
+        assert triad.required_sign == (-1 if triad is IV else +1)
+
+
+def test_partition_elements_carry_the_class_table():
+    # each member derives its facts from its value string; the table is the reference
+    assert list(CLASS_TABLE) == list(PartitionElement)
+    for element, satisfied in CLASS_TABLE.items():
+        assert element.satisfied == frozenset(satisfied)
+        assert element.violated == tuple(t for t in (I, II, III, IV) if t not in satisfied)
+        assert element.is_starred is (len(satisfied) == 1)
+    starred = [el for el in PartitionElement if el.is_starred]
+    assert starred == [PartitionElement.I0, PartitionElement.II0, PartitionElement.III0, PartitionElement.IV0]
 
 
 def test_triad_product_examples():

@@ -6,6 +6,7 @@ these tests pin the behaviour a frozen dataclass gave them.
 
 import itertools
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from ghzlocal import (
     MicroState,
     MSpecification,
     OutcomeAssignment,
+    PartitionElement,
     ReproCheck,
     ReproductionReport,
     SearchSpec,
@@ -161,6 +163,21 @@ def test_stored_hashes_are_those_of_fresh_equal_values():
         assert {fresh: 1}[shared] == 1 and {shared: 1}[fresh] == 1
         # the reader and the search's builder hand out one instance per flags tuple
         assert DDistribution.with_undetected(fresh.undetected_sites) is shared
+    # so do the all-U escape of the search and M1, and the all-D constructor
+    assert DDistribution.all_undetected() is ddistribution_from_json(["U"] * 9)
+    assert DDistribution.all_detected() is ddistribution_from_json(["D"] * 9)
+
+
+@pytest.mark.parametrize("enum", [Axis, Triad, PartitionElement])
+def test_enum_members_are_singletons_so_identity_hashing_is_sound(enum):
+    # the package enums hash by identity (object.__hash__, in C); that agrees
+    # with == only while equality is identity and no copy of a member exists
+    assert enum.__hash__ is object.__hash__
+    for a, b in itertools.product(enum, repeat=2):
+        assert (a == b) is (a is b)
+    for member in enum:
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert enum(member.value) is member
 
 
 def test_same_values_in_different_classes_are_unequal():
