@@ -38,6 +38,8 @@ from .state_space import (
     Site,
     Triad,
     _Value,
+    _ghz_microstates,
+    _state_class_positions,
     _state_classes,
     enumerate_contexts,
     enumerate_ghz_microstates,
@@ -144,13 +146,25 @@ def m_specification(state: MicroState, ddist: DDistribution) -> MSpecification:
     )
 
 
+def _canonical_family(family: Iterable[DDistribution], where: object) -> tuple[DDistribution, ...]:
+    """A family as a model stores it: sorted by flags, duplicate-free, a lone ``DDistribution``
+    as given.  Empty raises ValueError; a member with no flags raises AttributeError."""
+    fixed = tuple(family)
+    if len(fixed) != 1 or fixed[0].__class__ is not DDistribution:
+        fixed = tuple(sorted(set(fixed), key=attrgetter("flags")))
+        if not fixed:
+            where = getattr(where, "label", None) or where.value  # a state, or a class
+            raise ValueError(f"empty d-distribution family at {where}")
+    return fixed
+
+
 class Model(_Value):
     """A complete model: every GHZ-compatible state mapped to its d-distributions.
 
-    The constructor canonicalises each family: it is stored sorted by flags
-    and duplicate-free, so a repeated d-distribution is merged.  A family
-    object given for several states is canonicalised once and shared.  The
-    state prior is uniform 1/128 and each family is uniform 1/len(family).
+    The constructor takes the 128 (state, family) slots of a document or of
+    ``from_state_map``; ``from_element_families`` takes the 8 class families.
+    Both store each family by the one rule of ``_canonical_family``.  The state
+    prior is uniform 1/128 and each family is uniform 1/len(family).
     """
 
     _fields = ("name", "assignment")
@@ -158,24 +172,12 @@ class Model(_Value):
     def __init__(
         self, name: str, assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
     ) -> None:
-        assignment = tuple(assignment)  # keeps every family alive while keyed by id below
+        assignment = tuple(assignment)
         if [state for state, _ in assignment] != enumerate_ghz_microstates():
             raise ValueError(
                 "model must assign all 128 GHZ-compatible microstates in canonical order"
             )
-        canonical = []
-        done: dict[int, tuple[DDistribution, ...]] = {}
-        for state, family in assignment:
-            fixed = done.get(id(family))
-            if fixed is None:
-                fixed = tuple(family)
-                if len(fixed) != 1 or fixed[0].__class__ is not DDistribution:
-                    fixed = tuple(sorted(set(fixed), key=attrgetter("flags")))
-                done[id(family)] = fixed
-                if not fixed:
-                    raise ValueError(f"empty d-distribution family at {state.label}")
-            canonical.append((state, fixed))
-        self._set(name, tuple(canonical))
+        self._set(name, tuple((state, _canonical_family(f, state)) for state, f in assignment))
 
     @classmethod
     def from_state_map(
@@ -190,11 +192,18 @@ class Model(_Value):
     def from_element_families(
         cls, name: str, families: Mapping[PartitionElement, Iterable[DDistribution]]
     ) -> "Model":
-        """Build a model whose d-distributions are shared across a partition class."""
-        if set(families) != set(PartitionElement):
+        """Build a model from its 8 class families, each canonicalised once and shared
+        by the 16 states of its class: equal to the constructor's model of those slots."""
+        classes = partition_classes()
+        if families.keys() != classes.keys():
             raise ValueError("families must cover all 8 partition elements")
-        shared = {element: tuple(family) for element, family in families.items()}
-        return cls(name, tuple((state, shared[element]) for state, element in _state_classes()))
+        canonical = [_canonical_family(families[el], el) for el in classes]
+        # no constructor: its state-order check holds for the canonical tables, whose
+        # order tests/test_state_space.py::test_sign_mask_tables_match_classify pins
+        model = cls.__new__(cls)
+        families_by_state = map(canonical.__getitem__, _state_class_positions())
+        model._set(name, tuple(zip(_ghz_microstates().values(), families_by_state)))
+        return model
 
     def family(self, state: MicroState) -> tuple[DDistribution, ...]:
         try:

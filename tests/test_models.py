@@ -353,6 +353,51 @@ def test_shared_family_object_is_canonicalised_for_every_state():
     )
 
 
+SHARED_POOL = [DDistribution.with_undetected([site]) for site in SITES] + [
+    DDistribution.all_detected(),
+    DDistribution.all_undetected(),
+]
+
+
+@st.composite
+def class_families(draw) -> dict:
+    """A family per class: repeats, any order, and now and then a lone fresh
+    d-distribution equal to a shared one."""
+    families = {}
+    for element in PartitionElement:
+        members = draw(st.lists(st.sampled_from(SHARED_POOL), min_size=1, max_size=6))
+        if len(members) == 1 and draw(st.booleans()):
+            members = [DDistribution(members[0].flags)]
+        families[element] = draw(st.sampled_from([list, tuple]))(members)
+    return families
+
+
+@settings(max_examples=40, deadline=None)
+@given(families=class_families(), element=st.sampled_from(list(PartitionElement)))
+def test_class_build_equals_state_build(families, element):
+    # from_element_families fills the 128 slots from 8 canonical families; the
+    # constructor canonicalises per state; both apply the same family rule
+    model = Model.from_element_families("m", families)
+    slots = {s: list(families[classify(s)]) for s in enumerate_ghz_microstates()}
+    by_state = Model.from_state_map("m", slots)
+    assert model == by_state and hash(model) == hash(by_state)
+    assert model.assignment == by_state.assignment
+    assert [state for state, _ in model.assignment] == enumerate_ghz_microstates()
+    for el, states in partition_classes().items():
+        want = tuple(sorted(set(families[el]), key=lambda d: d.flags))
+        assert model.family(states[0]) == want
+        assert len({id(model.family(state)) for state in states}) == 1
+    # a missing class, an extra key and an empty family are refused
+    missing = {el: f for el, f in families.items() if el is not element}
+    for bad in (missing, {**families, "extra": families[element]}, {**families, element: []}):
+        with pytest.raises(ValueError):
+            Model.from_element_families("bad", bad)
+    # a member without flags, alone or beside d-distributions
+    for member in ([SHARED_POOL[0].flags], [SHARED_POOL[0], SHARED_POOL[1].flags]):
+        with pytest.raises(AttributeError):
+            Model.from_element_families("bad", {**families, element: member})
+
+
 def test_model_from_one_pass_iterable_of_fresh_families():
     # each family list is dropped by its producer as soon as it is handed on, so
     # a freed list's id can come back for the next one with other contents
