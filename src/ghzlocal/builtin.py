@@ -335,7 +335,7 @@ def _m1_rows(model: Model) -> list[_Row]:
 
 def _m2_rows(model: Model) -> list[_Row]:
     counts = census(model)
-    ddists = [dd for _, family in model.assignment for dd in family]
+    ddists = [dd for family in model.element_families().values() for dd in family]
     z_sites = _site_mask(Site.from_label(f"z{n}") for n in (1, 2, 3))
     return [
         ("every d-distribution has exactly two undetected sites", "yes", _yes(all(dd.undetected_count == 2 for dd in ddists))),

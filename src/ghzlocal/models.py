@@ -5,13 +5,15 @@ of detection distributions (d-distributions): D/U flags for all nine sites.
 Probabilities follow the uniform double average, 1/128 per state and 1/d per
 d-distribution within a state.
 
-Every bulk query reads one integer view of the model, built on first use and
-cached on the instance: each state as a 9-bit sign mask (bit i set where the
-value is -1), each d-distribution as a 9-bit detect mask (bit i set where
-site i is detected), and each pair's weight as the integer L // d over
-``128 * L``, L the lcm of the family sizes.  A context is a site mask C; a
-pair detects it when ``detect & C == C``, and its outcome on C is
-``sign & C``.  Exact ``Fraction``s are built only from the final integer sums.
+Bulk queries read integer views of the model, cached on the instance.  The core
+lists each (state, d-distribution) pair as the state's 9-bit sign mask (bit i
+set where the value is -1), the d-distribution's 9-bit detect mask (bit i set
+where site i is detected) and the weight L // d over ``128 * L``, L the lcm of
+the family sizes.  A pair detects a context's site mask C when
+``detect & C == C``, with outcome ``sign & C``.  The context table holds per C
+the detected weight and its split by outcome, summed over the class families
+of a class-uniform model, else over the pairs.  Exact ``Fraction``s are built
+from the final integer sums only.
 
 Measured outcomes with 0 at undetected sites form an m-specification; a pair
 (state, d-distribution) fixes it with no reference to any measurement context,
@@ -217,24 +219,14 @@ class Model(_Value):
 
     @cached_property
     def _core(self) -> "_Core":
-        """The integer view of the module docstring, built by the first bulk query."""
+        """The pairs of the module docstring, built by the first bulk query."""
         lcm = math.lcm(*{len(family) for _, family in self.assignment})
-        pairs = []
-        groups: dict[int, dict[int, int]] = {}
-        for state, family in self.assignment:
-            weight = lcm // len(family)
-            for ddist in family:
-                detect = ddist._detected
-                outcome = state._signs & detect
-                pairs.append((detect, outcome, weight))
-                # states that agree on the detected sites share one entry
-                group = groups.setdefault(detect, {})
-                group[outcome] = group.get(outcome, 0) + weight
-        return _Core(
-            N_STATES * lcm,
-            tuple(pairs),
-            tuple((detect, sum(g.values()), tuple(g.items())) for detect, g in groups.items()),
-        )
+        return _Core(N_STATES * lcm, tuple(
+            (dd._detected, state._signs & dd._detected, lcm // len(family))
+            for state, family in self.assignment for dd in family
+        ))
+
+    _contexts = cached_property(lambda self: _ContextTable(self))
 
     def pairs(self) -> Iterator[tuple[MicroState, DDistribution, Fraction]]:
         """All (state, d-distribution, weight) triples; weights sum to 1."""
@@ -258,14 +250,12 @@ class Model(_Value):
 
 
 class _Core(NamedTuple):
-    """Integer view of a model; every weight is over ``scale``."""
+    """The pairs of a model; every weight, and every context table entry, is over ``scale``."""
 
     scale: int
     # per (state, d-distribution), in canonical order: its m-specification as
     # (detect mask, sign mask & detect mask), and its weight
     pairs: tuple[tuple[int, int, int], ...]
-    # (detect mask, its total weight, ((sign mask & detect mask, weight), ...))
-    groups: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
 
 
 def _site_mask(sites: Iterable[Site]) -> int:
@@ -287,18 +277,47 @@ def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution
 # probabilities
 
 
-def _context_masses(model: Model, mask: int) -> tuple[int, dict[int, int]]:
-    """Detected weight of a context, given as a ``_site_mask``, and its split by
-    outcome, keyed by ``sign & mask``; weights are over ``model._core.scale``."""
-    detected = 0
-    buckets: dict[int, int] = {}
-    for detect, total, entries in model._core.groups:
-        if detect & mask == mask:
-            detected += total
-            for signs, weight in entries:
-                key = signs & mask
-                buckets[key] = buckets.get(key, 0) + weight
-    return detected, buckets
+class _ContextTable(dict):
+    """A model's context table: per context site mask, filled on first lookup, the detected
+    weight and its split by outcome, keyed by ``sign & mask``, over ``_core.scale``."""
+
+    def __init__(self, model: Model) -> None:
+        self.lcm = model._core.scale // N_STATES
+        try:  # uniformity is read from the slots, whatever built the model
+            self.families = model.element_families()
+        except ValueError:
+            self.families = None
+            groups: dict[int, dict[int, int]] = {}  # detect mask -> {sign & detect: weight}
+            for detect, signs, weight in model._core.pairs:
+                group = groups.setdefault(detect, {})
+                group[signs] = group.get(signs, 0) + weight
+            self.groups = tuple((detect, tuple(g.items())) for detect, g in groups.items())
+
+    def __missing__(self, mask: int) -> tuple[int, dict[int, int]]:
+        buckets: dict[int, int] = {}
+        if self.families is None:
+            for detect, entries in self.groups:
+                if detect & mask == mask:
+                    for signs, weight in entries:
+                        key = signs & mask
+                        buckets[key] = buckets.get(key, 0) + weight
+        else:  # a class adds its states' outcome counts times k detecting members' weight
+            for element, family in self.families.items():
+                k = 0
+                for ddist in family:
+                    if ddist._detected & mask == mask:
+                        k += 1
+                if k:
+                    weight = k * (self.lcm // len(family))
+                    for key, n in _class_outcomes(element, mask):
+                        buckets[key] = buckets.get(key, 0) + n * weight
+        return self.setdefault(mask, (sum(buckets.values()), buckets))
+
+
+@lru_cache(maxsize=8 * 63)  # one entry per (class, context)
+def _class_outcomes(element: PartitionElement, mask: int) -> tuple[tuple[int, int], ...]:
+    """Outcome counts ``sign & mask`` over the 16 states of a partition class."""
+    return tuple(Counter(state._signs & mask for state in partition_classes()[element]).items())
 
 
 def detection_probability(
@@ -313,7 +332,7 @@ def detection_probability(
     """
     mask = _site_mask(context.sites)
     if restrict is None:
-        return Fraction(_context_masses(model, mask)[0], model._core.scale)
+        return Fraction(model._contexts[mask][0], model._core.scale)
     if isinstance(restrict, PartitionElement):
         targets = list(partition_classes()[restrict])
     else:
@@ -327,7 +346,7 @@ def detection_probability(
 
 def conditional_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Probability of the outcomes given that all their sites are detected."""
-    detected, buckets = _context_masses(model, _site_mask(assign.context.sites))
+    detected, buckets = model._contexts[_site_mask(assign.context.sites)]
     if detected == 0:
         raise UndefinedConditionalError(
             f"model {model.name!r} never detects context {assign.context.label}"
@@ -369,7 +388,7 @@ def conditional_probability_by_element(
 
 def total_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Overall display probability: detection times conditional, or 0."""
-    _, buckets = _context_masses(model, _site_mask(assign.context.sites))
+    _, buckets = model._contexts[_site_mask(assign.context.sites)]
     return Fraction(buckets.get(_outcome_key(assign), 0), model._core.scale)
 
 
@@ -441,7 +460,7 @@ def verify_ac(model: Model) -> VerificationReport:
     failures: list[Failure] = []
     skipped: list[str] = []
     for context, mask, rows in _ac_table():
-        detected, buckets = _context_masses(model, mask)
+        detected, buckets = model._contexts[mask]
         if detected == 0:
             skipped.append(context.label)
             continue
@@ -607,11 +626,12 @@ def census(model: Model) -> CensusRecord:
     return CensusRecord(len(ddists), len(mspecs), len(combos))
 
 
+@lru_cache(maxsize=3**9)  # one entry per m-specification
+def _mspecification(detect: int, signs: int) -> MSpecification:
+    return MSpecification(tuple(_slot(detect, signs, i) for i in range(9)))
+
+
 def mspec_occurrences(model: Model) -> Counter[MSpecification]:
     """How many (state, d-distribution) pairs produce each m-specification."""
-    counts: Counter[tuple[int, int]] = Counter(
-        (detect, signs) for detect, signs, _ in model._core.pairs
-    )
-    return Counter(
-        {MSpecification(tuple(_slot(*key, i) for i in range(9))): n for key, n in counts.items()}
-    )
+    counts = Counter((detect, signs) for detect, signs, _ in model._core.pairs)
+    return Counter({_mspecification(*key): n for key, n in counts.items()})

@@ -5,7 +5,12 @@ reference that walks ``Model.pairs()`` with ``Fraction`` weights and builds
 ``m_specification`` / ``to_combination`` objects directly.  The random models
 are per-state (non-uniform), with family sizes 1 to 5 (so the common weight
 denominator reaches 128 * 60), z-only and all-undetected d-distributions, and
-all-detected d-distributions injected into up to eight states.
+all-detected d-distributions injected into up to eight states.  The uniform
+models hold one drawn family per partition class, so their context table is
+summed from the class outcome histograms; each is built from its 8 families
+(one family object per class) and from a state map of equal but distinct
+families, and again with one state's family swapped, which takes the per-state
+route.
 """
 
 from collections import Counter
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 from ghzlocal import (
     DDistribution,
     Model,
+    PartitionElement,
     UndefinedConditionalError,
     census,
     classify,
@@ -28,13 +34,14 @@ from ghzlocal import (
     enumerate_ghz_microstates,
     m_specification,
     outcome_assignments,
+    partition_classes,
     qm_probability,
     to_combination,
     total_probability,
     verify_ac,
     verify_dm,
 )
-from ghzlocal.models import AcFailure, DmFailure, mspec_occurrences
+from ghzlocal.models import AcFailure, DmFailure, _class_outcomes, _site_mask, mspec_occurrences
 
 STATES = enumerate_ghz_microstates()
 ALL_DETECTED = (1 << 9) - 1
@@ -46,12 +53,17 @@ def ddist(mask: int) -> DDistribution:
 
 
 @st.composite
-def random_models(draw) -> Model:
+def mask_pools(draw) -> list[int]:
     # a small pool of d-distributions makes never-detected (skipped) contexts
     # likely; it always holds the all-undetected and one z-only distribution
     z_only = sum(1 << b for b in draw(st.sets(st.sampled_from(Z_BITS), min_size=1)))
     drawn = draw(st.lists(st.integers(0, ALL_DETECTED), min_size=3, max_size=10))
-    pool = sorted({0, z_only, *drawn})
+    return sorted({0, z_only, *drawn})
+
+
+@st.composite
+def random_models(draw) -> Model:
+    pool = draw(mask_pools())
     if len(pool) < 5:
         pool += [m for m in (ALL_DETECTED, 1, 2, 4, 8) if m not in pool][: 5 - len(pool)]
     # every size 1..5 occurs, so the lcm of the family sizes is 60
@@ -149,3 +161,51 @@ def test_core_matches_fraction_loops_on_random_models(model):
 )
 def test_core_matches_fraction_loops_on_fixed_models(fixture, request):
     check_against_reference(request.getfixturevalue(fixture))
+
+
+@st.composite
+def uniform_models(draw) -> tuple[Model, Model, Model]:
+    """One drawn family (sizes 1 to 4) per class, as a class-built model, as a
+    state map of fresh equal families, and as that map with one state's family
+    swapped for a different one."""
+    pool = draw(mask_pools())
+    family = st.lists(st.sampled_from(pool), min_size=1, max_size=min(4, len(pool)), unique=True)
+    masks = {element: draw(family) for element in PartitionElement}
+    by_class = Model.from_element_families(
+        "uniform", {element: [ddist(m) for m in ms] for element, ms in masks.items()}
+    )
+    state_masks = {state: masks[classify(state)] for state in STATES}
+    by_state = Model.from_state_map(
+        "uniform", {state: tuple(ddist(m) for m in ms) for state, ms in state_masks.items()}
+    )
+    swapped_state = draw(st.sampled_from(STATES))
+    state_masks[swapped_state] = draw(family.filter(lambda ms: set(ms) != set(state_masks[swapped_state])))
+    swapped = Model.from_state_map(
+        "swapped", {state: tuple(ddist(m) for m in ms) for state, ms in state_masks.items()}
+    )
+    return by_class, by_state, swapped
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models=uniform_models())
+def test_core_matches_fraction_loops_on_uniform_models(models):
+    by_class, by_state, swapped = models
+    assert by_class == by_state
+    for model in models:
+        check_against_reference(model)
+    # uniformity is read from the slots: by identity, by equality, and lost by one state
+    assert by_class._contexts.families is not None
+    assert by_state._contexts.families == by_class._contexts.families
+    assert swapped._contexts.families is None
+
+
+def test_class_outcomes_count_the_class_states():
+    """The premise of the class route: per class and context, the shared histogram
+    is the count of the class's 16 states by their outcome on the context."""
+    for element in PartitionElement:
+        for context in enumerate_contexts():
+            direct = Counter(
+                sum(1 << site.index for site in context.sites if state.values[site.index] < 0)
+                for state in partition_classes()[element]
+            )
+            assert dict(_class_outcomes(element, _site_mask(context.sites))) == direct
