@@ -226,7 +226,10 @@ class Model(_Value):
             for state, family in self.assignment for dd in family
         ))
 
-    _contexts = cached_property(lambda self: _ContextTable(self))
+    @cached_property
+    def _contexts(self) -> "_ContextTable":
+        """The context table, empty until a probability query fills its contexts."""
+        return _ContextTable(self)
 
     def pairs(self) -> Iterator[tuple[MicroState, DDistribution, Fraction]]:
         """All (state, d-distribution, weight) triples; weights sum to 1."""
