@@ -7,77 +7,53 @@ failures, verifies them against the quantum conditional-on-detection
 probabilities, rebuilds the three canonical models M3, M1 and M2, searches
 the whole family, and exports Szabo-Fine prism-model combinations with their
 induced measures.
+
+Each submodule, and each public name below, is imported on first use.
 """
 
-from .builtin import (
-    BUILTIN_SELECTORS,
-    ReproCheck,
-    ReproductionReport,
-    builtin_model,
-    model_m1,
-    model_m2,
-    model_m3,
-    reproduce_section4,
-)
-from .models import (
-    AcFailure,
-    CensusRecord,
-    Combination,
-    CombinationDistribution,
-    CountFailure,
-    DDistribution,
-    DmFailure,
-    Model,
-    MSpecification,
-    UndefinedConditionalError,
-    VerificationReport,
-    census,
-    combination_distribution,
-    conditional_probability,
-    conditional_probability_by_element,
-    detection_probability,
-    is_deterministic,
-    m_specification,
-    mspec_occurrences,
-    to_combination,
-    total_probability,
-    verify_ac,
-    verify_dm,
-)
-from .qm import (
-    GHZ_AMPLITUDES,
-    GHZ_SQUARED_NORM,
-    OutcomeAssignment,
-    ghz_triad_probability,
-    outcome_assignments,
-    qm_probability,
-    rule_table_probability,
-)
-from .search import (
-    ExpectedCounts,
-    SearchSpec,
-    UnboundedSearchError,
-    search_models,
-    verify_counts,
-)
-from .state_space import (
-    AXES,
-    PARTICLES,
-    SITES,
-    XY_SITES,
-    Axis,
-    MeasurementContext,
-    MicroState,
-    PartitionElement,
-    Site,
-    Triad,
-    classify,
-    enumerate_contexts,
-    enumerate_ghz_microstates,
-    partition_classes,
-    satisfied_triads,
-    satisfies,
-    triad_product,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# each public name, under the submodule that defines it
+_EXPORTS: dict[str, list[str]] = {
+    "builtin": """
+        BUILTIN_SELECTORS ReproCheck ReproductionReport builtin_model model_m1 model_m2 model_m3
+        reproduce_section4
+    """.split(),
+    "models": """
+        AcFailure CensusRecord Combination CombinationDistribution CountFailure DDistribution
+        DmFailure Model MSpecification UndefinedConditionalError VerificationReport census
+        combination_distribution conditional_probability conditional_probability_by_element
+        detection_probability is_deterministic m_specification mspec_occurrences to_combination
+        total_probability verify_ac verify_dm
+    """.split(),
+    "qm": """
+        GHZ_AMPLITUDES GHZ_SQUARED_NORM OutcomeAssignment ghz_triad_probability
+        outcome_assignments qm_probability rule_table_probability
+    """.split(),
+    "search": "ExpectedCounts SearchSpec UnboundedSearchError search_models verify_counts".split(),
+    "state_space": """
+        AXES PARTICLES SITES XY_SITES Axis MeasurementContext MicroState PartitionElement Site
+        Triad classify enumerate_contexts enumerate_ghz_microstates partition_classes
+        satisfied_triads satisfies triad_product
+    """.split(),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("builtin", "cli", "models", "qm", "search", "serialize", "state_space")
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -41,8 +41,8 @@ from .models import (
     verify_ac,
     verify_dm,
 )
-from .qm import outcome_assignments
 from .state_space import (
+    SITES,
     MeasurementContext,
     PartitionElement,
     Site,
@@ -52,6 +52,7 @@ from .state_space import (
 )
 
 E = PartitionElement
+_SITE_BY_LABEL: dict[str, Site] = {site.label: site for site in SITES}
 
 # Undetected-site tables, one mask (or family of masks) per partition class.
 
@@ -100,7 +101,7 @@ M2_UNDETECTED_PAIRS: dict[PartitionElement, tuple[tuple[str, str], ...]] = {
 
 
 def _mask(labels: tuple[str, ...]) -> DDistribution:
-    return DDistribution.with_undetected(Site.from_label(lb) for lb in labels)
+    return DDistribution.with_undetected(_SITE_BY_LABEL[lb] for lb in labels)
 
 
 def model_m3() -> Model:
@@ -215,6 +216,7 @@ def _singles(model: Model, axes: str) -> str:
 def _triad_events(model: Model) -> dict[Triad, tuple[Fraction, bool]]:
     """Per triad, the conditional mass of its constraint event, and whether every
     satisfying outcome triple has conditional 1/4 and every other triple 0."""
+    from .qm import outcome_assignments
     events = {}
     for triad in Triad:
         mass, exact = Fraction(0), True
@@ -336,7 +338,7 @@ def _m1_rows(model: Model) -> list[_Row]:
 def _m2_rows(model: Model) -> list[_Row]:
     counts = census(model)
     ddists = [dd for family in model.element_families().values() for dd in family]
-    z_sites = _site_mask(Site.from_label(f"z{n}") for n in (1, 2, 3))
+    z_sites = _site_mask(_SITE_BY_LABEL[f"z{n}"] for n in (1, 2, 3))
     return [
         ("every d-distribution has exactly two undetected sites", "yes", _yes(all(dd.undetected_count == 2 for dd in ddists))),
         ("z sites always detected", "yes", _yes(_detecting(ddists, z_sites) == ddists)),

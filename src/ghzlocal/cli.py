@@ -9,29 +9,20 @@ combinations, csv) switches to the machine schemas.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, TextIO, Union
 
-from . import serialize
-from .builtin import BUILTIN_SELECTORS, builtin_model, reproduce_section4
-from .models import (
-    Model,
-    UndefinedConditionalError,
-    census,
-    combination_distribution,
-    conditional_probability,
-    detection_probability,
-    total_probability,
-    verify_ac,
-    verify_dm,
-)
-from .qm import OutcomeAssignment, outcome_assignments, qm_probability
-from .search import ExpectedCounts, SearchSpec, UnboundedSearchError, search_models, verify_counts
 from .state_space import _Value, enumerate_ghz_microstates, partition_classes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .models import Model
+    from .search import ExpectedCounts, SearchSpec
+
+# each command imports the modules it runs, so a process compiles no others (tests/test_imports.py)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -56,6 +47,7 @@ class CommandOutcome(_Value):
 
 
 def _read_json(path: str, what: str) -> Any:
+    import json
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -65,6 +57,7 @@ def _read_json(path: str, what: str) -> Any:
 
 
 def _load_model(source: str) -> Model:
+    from .builtin import BUILTIN_SELECTORS, builtin_model
     if source in BUILTIN_SELECTORS:
         if os.path.exists(source):
             raise UsageError(
@@ -73,13 +66,15 @@ def _load_model(source: str) -> Model:
             )
         return builtin_model(source)
     data = _read_json(source, "model")
+    from .serialize import FormatError, model_from_json
     try:
-        return serialize.model_from_json(data)
-    except serialize.FormatError as exc:
+        return model_from_json(data)
+    except FormatError as exc:
         raise InputError(f"invalid model file {source!r}: {exc}") from exc
 
 
 def _dump(document: object) -> str:
+    import json
     return json.dumps(document, indent=2, sort_keys=True)
 
 
@@ -101,11 +96,12 @@ def cmd_states(args: argparse.Namespace) -> CommandOutcome:
     classes = partition_classes()
     element = {s: el.value for el, members in classes.items() for s in members}
     if args.format == "json":
+        from .serialize import SCHEMA_VERSION, microstate_to_json
         document = {
-            "schema_version": serialize.SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "count": len(states),
             "states": [
-                {"values": serialize.microstate_to_json(s), "element": element[s]} for s in states
+                {"values": microstate_to_json(s), "element": element[s]} for s in states
             ],
         }
         return CommandOutcome(EXIT_OK, _dump(document))
@@ -128,6 +124,7 @@ def cmd_states(args: argparse.Namespace) -> CommandOutcome:
 
 
 def _parse_expected_counts(text: str) -> ExpectedCounts:
+    from .search import ExpectedCounts
     parts = text.split(",")
     if len(parts) not in (2, 3):
         raise UsageError(
@@ -145,6 +142,7 @@ def _parse_expected_counts(text: str) -> ExpectedCounts:
 
 
 def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
+    from .models import verify_ac, verify_dm
     model = _load_model(args.model)
     run_all = not (args.ac or args.dm or args.counts)
     reports = []
@@ -153,14 +151,16 @@ def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     if args.dm or run_all:
         reports.append(verify_dm(model))
     if args.counts:
+        from .search import verify_counts
         reports.append(verify_counts(model, _parse_expected_counts(args.counts)))
     ok = all(r.passed for r in reports)
     if args.format == "json":
+        from .serialize import SCHEMA_VERSION, verification_report_to_json
         document = {
-            "schema_version": serialize.SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "model": model.name,
             "pass": ok,
-            "reports": [serialize.verification_report_to_json(r) for r in reports],
+            "reports": [verification_report_to_json(r) for r in reports],
         }
         return CommandOutcome(EXIT_OK if ok else EXIT_VERIFICATION_FAILED, _dump(document))
     lines = [f"model: {model.name}"]
@@ -169,7 +169,8 @@ def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
         extra = f", {len(report.skipped)} contexts skipped" if report.skipped else ""
         lines.append(f"{report.check}: {status}{extra}")
         for failure in report.failures[:10]:
-            lines.append(f"  {serialize._failure_to_json(failure)}")
+            from .serialize import _failure_to_json  # a passing table loads no serialize
+            lines.append(f"  {_failure_to_json(failure)}")
         if len(report.failures) > 10:
             lines.append(f"  ... and {len(report.failures) - 10} more")
     return CommandOutcome(EXIT_OK if ok else EXIT_VERIFICATION_FAILED, "\n".join(lines))
@@ -179,14 +180,18 @@ def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
+    from .models import UndefinedConditionalError, conditional_probability
+    from .models import detection_probability, total_probability
+    from .qm import OutcomeAssignment, outcome_assignments, qm_probability
+    from .serialize import SCHEMA_VERSION, fraction_to_str, parse_context_arg, parse_outcomes_arg
     model = _load_model(args.model)
     try:
-        context = serialize.parse_context_arg(args.context)
+        context = parse_context_arg(args.context)
     except ValueError as exc:
         raise UsageError(f"bad context {args.context!r}: {exc}") from exc
     if args.outcomes is not None:
         try:
-            outcomes = serialize.parse_outcomes_arg(args.outcomes, context)
+            outcomes = parse_outcomes_arg(args.outcomes, context)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         assignments = [OutcomeAssignment(context, outcomes)]
@@ -203,16 +208,16 @@ def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
         rows.append((assign, conditional, total, qm_probability(assign)))
     if args.format == "json":
         document = {
-            "schema_version": serialize.SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "model": model.name,
             "context": context.label,
-            "detection": serialize.fraction_to_str(detection),
+            "detection": fraction_to_str(detection),
             "rows": [
                 {
                     "outcomes": list(assign.outcomes),
-                    "conditional": serialize.fraction_to_str(c) if c is not None else None,
-                    "total": serialize.fraction_to_str(t),
-                    "qm": serialize.fraction_to_str(q),
+                    "conditional": fraction_to_str(c) if c is not None else None,
+                    "total": fraction_to_str(t),
+                    "qm": fraction_to_str(q),
                 }
                 for assign, c, t, q in rows
             ],
@@ -234,12 +239,14 @@ def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_combinations(args: argparse.Namespace) -> CommandOutcome:
+    from .models import combination_distribution
+    from .serialize import combinations_to_csv, combinations_to_json
     model = _load_model(args.model)
     dist = combination_distribution(model)
     if args.format == "json":
-        return CommandOutcome(EXIT_OK, _dump(serialize.combinations_to_json(model.name, dist)))
+        return CommandOutcome(EXIT_OK, _dump(combinations_to_json(model.name, dist)))
     if args.format == "csv":
-        return CommandOutcome(EXIT_OK, serialize.combinations_to_csv(dist).rstrip("\n"))
+        return CommandOutcome(EXIT_OK, combinations_to_csv(dist).rstrip("\n"))
     lines = [f"{'x1':<3} {'y1':<3} {'x2':<3} {'y2':<3} {'x3':<3} {'y3':<3} {'probability':<12} triads"]
     for combo, mass in dist.rows():
         slots = " ".join(f"{s:<3}" for s in combo.slots)
@@ -257,10 +264,12 @@ def cmd_combinations(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_search(args: argparse.Namespace) -> CommandOutcome:
+    from .search import SearchSpec, UnboundedSearchError
+    from .serialize import FormatError, search_spec_from_json
     data = _read_json(args.spec, "spec")
     try:
-        spec = serialize.search_spec_from_json(data)
-    except serialize.FormatError as exc:
+        spec = search_spec_from_json(data)
+    except FormatError as exc:
         raise InputError(f"invalid search spec {args.spec!r}: {exc}") from exc
     if args.limit is not None:
         spec = SearchSpec(**dict(zip(spec._fields, spec._astuple()), limit=args.limit))
@@ -271,12 +280,21 @@ def cmd_search(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(EXIT_OK, _search_lines(spec, args.format == "json"))
 
 
+def search_models(spec: SearchSpec) -> Iterator[Model]:
+    """``search.search_models``, imported at the first search; ``_search_lines`` calls this name."""
+    from .search import search_models
+    return search_models(spec)
+
+
 def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
     """One line per model as the search yields it, then the count."""
+    import json
+    from .models import census
+    from .serialize import SCHEMA_VERSION, model_to_json
     found = 0
     for found, model in enumerate(search_models(spec), start=1):
         if as_json:
-            yield json.dumps(serialize.model_to_json(model), sort_keys=True, separators=(",", ":"))
+            yield json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
         else:
             counts = census(model)
             yield (
@@ -286,7 +304,7 @@ def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
             )
     if as_json:
         yield json.dumps(
-            {"schema_version": serialize.SCHEMA_VERSION, "models_found": found},
+            {"schema_version": SCHEMA_VERSION, "models_found": found},
             sort_keys=True, separators=(",", ":"),
         )
     else:
@@ -297,15 +315,17 @@ def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> CommandOutcome:
+    from .builtin import BUILTIN_SELECTORS, reproduce_section4
     if args.selector not in BUILTIN_SELECTORS:
         raise UsageError(
             f"unknown model selector {args.selector!r}; use one of {', '.join(BUILTIN_SELECTORS)}"
         )
     report = reproduce_section4(args.selector)
     if args.format == "json":
+        from .serialize import repro_report_to_json
         return CommandOutcome(
             EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED,
-            _dump(serialize.repro_report_to_json(report)),
+            _dump(repro_report_to_json(report)),
         )
     lines = [f"reproduction report: {report.model}"]
     lines.extend(check.line for check in report.checks)
@@ -318,8 +338,9 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_export(args: argparse.Namespace) -> CommandOutcome:
+    from .serialize import model_to_json
     model = _load_model(args.model)
-    return CommandOutcome(EXIT_OK, _dump(serialize.model_to_json(model)))
+    return CommandOutcome(EXIT_OK, _dump(model_to_json(model)))
 
 
 # --------------------------------------------------------------------------- parser

@@ -28,9 +28,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .qm import OutcomeAssignment, outcome_assignments, qm_probability
 from .state_space import (
     SITES,
     XY_SITES,
@@ -47,6 +46,9 @@ from .state_space import (
     enumerate_ghz_microstates,
     partition_classes,
 )
+
+if TYPE_CHECKING:
+    from .qm import OutcomeAssignment
 
 DETECTED = "D"
 UNDETECTED = "U"
@@ -266,9 +268,9 @@ def _site_mask(sites: Iterable[Site]) -> int:
     return sum(1 << s.index for s in sites)
 
 
-def _outcome_key(assign: OutcomeAssignment) -> int:
-    """Bit i set where the assignment puts -1 on site i: a state's ``sign & C``."""
-    return sum(1 << s.index for s, v in assign.items() if v < 0)
+def _outcome_key(items: Iterable[tuple[Site, int]]) -> int:
+    """Bit i set where the (site, sign) items put -1 on site i: a state's ``sign & C``."""
+    return sum(1 << s.index for s, v in items if v < 0)
 
 
 def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution]:
@@ -320,7 +322,11 @@ class _ContextTable(dict):
 @lru_cache(maxsize=8 * 63)  # one entry per (class, context)
 def _class_outcomes(element: PartitionElement, mask: int) -> tuple[tuple[int, int], ...]:
     """Outcome counts ``sign & mask`` over the 16 states of a partition class."""
-    return tuple(Counter(state._signs & mask for state in partition_classes()[element]).items())
+    counts: dict[int, int] = {}
+    for state in partition_classes()[element]:
+        key = state._signs & mask
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(counts.items())
 
 
 def detection_probability(
@@ -354,7 +360,7 @@ def conditional_probability(model: Model, assign: OutcomeAssignment) -> Fraction
         raise UndefinedConditionalError(
             f"model {model.name!r} never detects context {assign.context.label}"
         )
-    return Fraction(buckets.get(_outcome_key(assign), 0), detected)
+    return Fraction(buckets.get(_outcome_key(assign.items()), 0), detected)
 
 
 def conditional_probability_by_element(
@@ -392,7 +398,7 @@ def conditional_probability_by_element(
 def total_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Overall display probability: detection times conditional, or 0."""
     _, buckets = model._contexts[_site_mask(assign.context.sites)]
-    return Fraction(buckets.get(_outcome_key(assign), 0), model._core.scale)
+    return Fraction(buckets.get(_outcome_key(assign.items()), 0), model._core.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +463,8 @@ def verify_ac(model: Model) -> VerificationReport:
 
     Every context with positive detected mass is checked for every outcome
     assignment, exactly; contexts the model never detects are reported as
-    skipped, not failed.  ``n / detected == q`` is tested as
-    ``n * q.denominator == q.numerator * detected``.
+    skipped, not failed.  ``n / detected == p / q`` is tested as
+    ``n * q == p * detected``.
     """
     failures: list[Failure] = []
     skipped: list[str] = []
@@ -467,27 +473,37 @@ def verify_ac(model: Model) -> VerificationReport:
         if detected == 0:
             skipped.append(context.label)
             continue
-        for assign, key, expected in rows:
+        for key, numerator, denominator in rows:
             n = buckets.get(key, 0)
-            if n * expected.denominator != expected.numerator * detected:
+            if n * denominator != numerator * detected:
+                assign, expected = _ac_expected(mask, key)
                 failures.append(AcFailure(context, assign, expected, Fraction(n, detected)))
     return VerificationReport("ac", tuple(failures), tuple(skipped))
 
 
 @lru_cache(maxsize=1)
-def _ac_table() -> tuple[
-    tuple[MeasurementContext, int, tuple[tuple[OutcomeAssignment, int, Fraction], ...]], ...
-]:
-    """Per context: its site mask and, per outcome assignment, its outcome key
-    and quantum probability."""
-    return tuple(
-        (
-            context,
-            _site_mask(context.sites),
-            tuple((a, _outcome_key(a), qm_probability(a)) for a in outcome_assignments(context)),
+def _ac_table() -> tuple[tuple[MeasurementContext, int, tuple[tuple[int, int, int], ...]], ...]:
+    """Per context: its site mask and, per outcome assignment in ``outcome_assignments``
+    order, its outcome key and ``qm_probability`` as integers (numerator, denominator)."""
+    from .qm import _outcome_tuples, _qm_ratio
+    table = []
+    for context in enumerate_contexts():
+        sites = context.sites
+        rows = tuple(
+            (_outcome_key(zip(sites, outcomes)), *_qm_ratio(sites, outcomes))
+            for outcomes in _outcome_tuples(len(sites))
         )
-        for context in enumerate_contexts()
-    )
+        table.append((context, _site_mask(sites), rows))
+    return tuple(table)
+
+
+@lru_cache(maxsize=342)  # one entry per outcome assignment, built at its first failure
+def _ac_expected(mask: int, key: int) -> tuple[OutcomeAssignment, Fraction]:
+    """The outcome assignment of an ``_ac_table`` row and its quantum probability."""
+    from .qm import OutcomeAssignment, qm_probability
+    context = MeasurementContext(tuple(s for s in SITES if mask >> s.index & 1))
+    assign = OutcomeAssignment(context, tuple(-1 if key >> s.index & 1 else +1 for s in context.sites))
+    return assign, qm_probability(assign)
 
 
 def verify_dm(model: Model) -> VerificationReport:

@@ -10,9 +10,8 @@ import csv
 import io
 import re
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .builtin import ReproductionReport
 from .models import (
     AcFailure,
     CombinationDistribution,
@@ -23,9 +22,12 @@ from .models import (
     VerificationReport,
     _shared_ddistribution,
 )
-from .qm import OutcomeAssignment
-from .search import SearchSpec
 from .state_space import MeasurementContext, MicroState, Site, _ghz_microstates, _is_int
+
+if TYPE_CHECKING:
+    from .builtin import ReproductionReport
+    from .qm import OutcomeAssignment
+    from .search import SearchSpec
 
 SCHEMA_VERSION = 1
 _NINE_INTS = (int,) * 9  # the value types of a microstate as a document gives it
@@ -315,6 +317,7 @@ def _flag(data: dict[str, Any], key: str, default: bool) -> bool:
 
 
 def search_spec_from_json(data: Any) -> SearchSpec:
+    from .search import SearchSpec
     if not isinstance(data, dict):
         raise FormatError("search spec must be a JSON object")
     _check_schema_version(data)

@@ -32,6 +32,7 @@ from ghzlocal import (
     detection_probability,
     enumerate_contexts,
     enumerate_ghz_microstates,
+    OutcomeAssignment,
     m_specification,
     outcome_assignments,
     partition_classes,
@@ -41,7 +42,9 @@ from ghzlocal import (
     verify_ac,
     verify_dm,
 )
-from ghzlocal.models import AcFailure, DmFailure, _class_outcomes, _site_mask, mspec_occurrences
+from ghzlocal.models import (
+    AcFailure, DmFailure, _ac_table, _class_outcomes, _site_mask, mspec_occurrences,
+)
 
 STATES = enumerate_ghz_microstates()
 ALL_DETECTED = (1 << 9) - 1
@@ -154,6 +157,37 @@ def check_against_reference(model: Model) -> None:
 @given(model=random_models())
 def test_core_matches_fraction_loops_on_random_models(model):
     check_against_reference(model)
+
+
+def test_ac_table_rows_are_the_state_vector_probabilities():
+    """The premise of verify_ac's integer table: per context, in order, each row is
+    one outcome assignment's key and its qm_probability as (numerator, denominator)."""
+    table = _ac_table()
+    assert [context for context, _, _ in table] == enumerate_contexts()
+    rows = 0
+    for context, mask, context_rows in table:
+        assert mask == _site_mask(context.sites)
+        assigns = outcome_assignments(context)
+        assert len(context_rows) == len(assigns)
+        for (key, numerator, denominator), assign in zip(context_rows, assigns):
+            assert key == sum(1 << site.index for site, v in assign.items() if v < 0)
+            expected = qm_probability(OutcomeAssignment(context, assign.outcomes))
+            assert Fraction(numerator, denominator) == expected
+            rows += 1
+    assert rows == 342
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=random_models())
+def test_ac_failures_match_one_qm_call_per_assignment(model):
+    ref = reference(model)
+    failures = []
+    for assign, mass in ref["masses"].items():
+        detected = ref["detection"][assign.context]
+        expected = qm_probability(assign)
+        if detected and mass != expected * detected:
+            failures.append(AcFailure(assign.context, assign, expected, mass / detected))
+    assert verify_ac(model).failures == tuple(failures)
 
 
 @pytest.mark.parametrize(
