@@ -15,7 +15,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each public name, under the submodule that defines it
+# the built-in model selectors, known without importing ``builtin``, which re-exports them
+BUILTIN_SELECTORS: tuple[str, ...] = ("M3", "M1", "M2")
+
+# each public name, under the submodule that defines or (BUILTIN_SELECTORS) re-exports it
 _EXPORTS: dict[str, list[str]] = {
     "builtin": """
         BUILTIN_SELECTORS ReproCheck ReproductionReport builtin_model model_m1 model_m2 model_m3

@@ -26,6 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from . import BUILTIN_SELECTORS  # noqa: F401  (re-exported)
 from .models import (
     DDistribution,
     Model,
@@ -131,8 +132,6 @@ def model_m2() -> Model:
     }
     return Model.from_element_families("M2", families)
 
-
-BUILTIN_SELECTORS: tuple[str, ...] = ("M3", "M1", "M2")
 
 _BUILDERS: dict[str, Callable[[], Model]] = {
     "M3": model_m3,

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, TextIO, Union
 
+from . import BUILTIN_SELECTORS
 from .state_space import _Value, enumerate_ghz_microstates, partition_classes
 
 if TYPE_CHECKING:
@@ -57,13 +58,13 @@ def _read_json(path: str, what: str) -> Any:
 
 
 def _load_model(source: str) -> Model:
-    from .builtin import BUILTIN_SELECTORS, builtin_model
     if source in BUILTIN_SELECTORS:
         if os.path.exists(source):
             raise UsageError(
                 f"{source!r} is both a built-in model selector and a file;"
                 f" write ./{source} for the file"
             )
+        from .builtin import builtin_model
         return builtin_model(source)
     data = _read_json(source, "model")
     from .serialize import FormatError, model_from_json
@@ -315,11 +316,11 @@ def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> CommandOutcome:
-    from .builtin import BUILTIN_SELECTORS, reproduce_section4
     if args.selector not in BUILTIN_SELECTORS:
         raise UsageError(
             f"unknown model selector {args.selector!r}; use one of {', '.join(BUILTIN_SELECTORS)}"
         )
+    from .builtin import reproduce_section4
     report = reproduce_section4(args.selector)
     if args.format == "json":
         from .serialize import repro_report_to_json

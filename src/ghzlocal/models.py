@@ -5,15 +5,23 @@ of detection distributions (d-distributions): D/U flags for all nine sites.
 Probabilities follow the uniform double average, 1/128 per state and 1/d per
 d-distribution within a state.
 
-Bulk queries read integer views of the model, cached on the instance.  The core
-lists each (state, d-distribution) pair as the state's 9-bit sign mask (bit i
-set where the value is -1), the d-distribution's 9-bit detect mask (bit i set
-where site i is detected) and the weight L // d over ``128 * L``, L the lcm of
-the family sizes.  A pair detects a context's site mask C when
-``detect & C == C``, with outcome ``sign & C``.  The context table holds per C
-the detected weight and its split by outcome, summed over the class families
-of a class-uniform model, else over the pairs.  Exact ``Fraction``s are built
-from the final integer sums only.
+A model built from its 8 class families holds those families and its name; the
+128 per-state slots are derived only when a per-state reader asks for them.  Every
+model carries one uniformity probe, its 8 class families or None.  On a uniform
+model the context table reads the families and process-wide per-(class, context)
+outcome counts, so its cost is set by the families, not by the 128 states;
+detection masking and the m-specification histogram walk the slots, derived
+from the families without being stored.
+
+Bulk queries read integer views of the model, cached on the instance.  A pair
+(state, d-distribution) is the state's 9-bit sign mask (bit i set where the value
+is -1), the d-distribution's 9-bit detect mask (bit i set where site i is
+detected) and the weight L // d over ``128 * L``, L the lcm of the family sizes.
+A pair detects a context's site mask C when ``detect & C == C``, with outcome
+``sign & C``.  The context table holds per C the detected weight and its split by
+outcome; the m-specification histogram holds per ``(detect, sign & detect)`` its
+pair count and weight, in order of first occurrence.  Exact ``Fraction``s are
+built from the final integer sums only.
 
 Measured outcomes with 0 at undetected sites form an m-specification; a pair
 (state, d-distribution) fixes it with no reference to any measurement context,
@@ -166,9 +174,11 @@ class Model(_Value):
     """A complete model: every GHZ-compatible state mapped to its d-distributions.
 
     The constructor takes the 128 (state, family) slots of a document or of
-    ``from_state_map``; ``from_element_families`` takes the 8 class families.
-    Both store each family by the one rule of ``_canonical_family``.  The state
-    prior is uniform 1/128 and each family is uniform 1/len(family).
+    ``from_state_map``; ``from_element_families`` takes and holds the 8 class
+    families, and derives the slots on first read.  Both store each family by
+    the one rule of ``_canonical_family``, and equality and hash are those of
+    ``(name, assignment)``.  The state prior is uniform 1/128 and each family is
+    uniform 1/len(family).
     """
 
     _fields = ("name", "assignment")
@@ -196,18 +206,29 @@ class Model(_Value):
     def from_element_families(
         cls, name: str, families: Mapping[PartitionElement, Iterable[DDistribution]]
     ) -> "Model":
-        """Build a model from its 8 class families, each canonicalised once and shared
-        by the 16 states of its class: equal to the constructor's model of those slots."""
+        """Build a model from its 8 class families, each canonicalised once: it holds the name
+        and the families, and equals the constructor's model of the slots they fill."""
         classes = partition_classes()
         if families.keys() != classes.keys():
             raise ValueError("families must cover all 8 partition elements")
-        canonical = [_canonical_family(families[el], el) for el in classes]
-        # no constructor: its state-order check holds for the canonical tables, whose
-        # order tests/test_state_space.py::test_sign_mask_tables_match_classify pins
-        model = cls.__new__(cls)
-        families_by_state = map(canonical.__getitem__, _state_class_positions())
-        model._set(name, tuple(zip(_ghz_microstates().values(), families_by_state)))
+        model = cls.__new__(cls)  # no constructor: the slots are derived on first read
+        object.__setattr__(model, "name", name)
+        object.__setattr__(model, "_families", {el: _canonical_family(families[el], el) for el in classes})
         return model
+
+    @cached_property
+    def assignment(self) -> tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]:
+        """The 128 (state, family) slots in canonical state order.  The constructor sets them;
+        a class-built model derives them from its families on first read."""
+        return tuple(self._slots())
+
+    def _slots(self) -> Iterable[tuple[MicroState, tuple[DDistribution, ...]]]:
+        """The slots, read from the families of a uniform model without storing them, in the
+        order that tests/test_state_space.py::test_sign_mask_tables_match_classify pins."""
+        if self._families is None:
+            return self.assignment
+        families = list(self._families.values())
+        return zip(_ghz_microstates().values(), map(families.__getitem__, _state_class_positions()))
 
     def family(self, state: MicroState) -> tuple[DDistribution, ...]:
         try:
@@ -220,13 +241,37 @@ class Model(_Value):
         return dict(self.assignment)
 
     @cached_property
-    def _core(self) -> "_Core":
-        """The pairs of the module docstring, built by the first bulk query."""
-        lcm = math.lcm(*{len(family) for _, family in self.assignment})
-        return _Core(N_STATES * lcm, tuple(
-            (dd._detected, state._signs & dd._detected, lcm // len(family))
-            for state, family in self.assignment for dd in family
-        ))
+    def _families(self) -> Optional[dict[PartitionElement, tuple[DDistribution, ...]]]:
+        """The uniformity probe: the 8 class families, or None if the states of a class differ.
+        Set by the class build, else read once from the slots (identity or equality)."""
+        families = {}
+        for element, states in partition_classes().items():
+            family = self._family_map[states[0]]
+            if any(self._family_map[state] != family for state in states[1:]):
+                return None
+            families[element] = family
+        return families
+
+    @cached_property
+    def _lcm(self) -> int:
+        """The lcm L of the family sizes: every weight and table entry is over ``128 * L``."""
+        families = self._family_map.values() if self._families is None else self._families.values()
+        return math.lcm(*{len(family) for family in families})
+
+    @cached_property
+    def _mspecs(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Per m-specification, coded ``detect << 9 | sign & detect``, in order of first
+        occurrence over the pairs: how many pairs produce it, and their weight over ``128 * _lcm``."""
+        lcm = self._lcm
+        counts: dict[int, int] = {}
+        weights: dict[int, int] = {}
+        for state, family in self._slots():
+            weight = lcm // len(family)
+            for dd in family:
+                code = dd._detected << 9 | state._signs & dd._detected
+                counts[code] = counts.get(code, 0) + 1
+                weights[code] = weights.get(code, 0) + weight
+        return counts, weights
 
     @cached_property
     def _contexts(self) -> "_ContextTable":
@@ -242,25 +287,14 @@ class Model(_Value):
 
     def element_families(self) -> dict[PartitionElement, tuple[DDistribution, ...]]:
         """Per-class families; raises if states of one class differ (non-uniform model)."""
-        families: dict[PartitionElement, tuple[DDistribution, ...]] = {}
-        for element, states in partition_classes().items():
-            family = self._family_map[states[0]]
-            if any(self._family_map[state] != family for state in states[1:]):
-                raise ValueError(f"model {self.name!r} is not uniform on {element.value}")
-            families[element] = family
-        return families
+        if self._families is None:
+            classes = partition_classes().items()
+            element = next(el for el, states in classes if len(set(map(self.family, states))) > 1)
+            raise ValueError(f"model {self.name!r} is not uniform on {element.value}")
+        return dict(self._families)
 
     def __repr__(self) -> str:
-        return f"Model(name={self.name!r}, states={len(self.assignment)})"
-
-
-class _Core(NamedTuple):
-    """The pairs of a model; every weight, and every context table entry, is over ``scale``."""
-
-    scale: int
-    # per (state, d-distribution), in canonical order: its m-specification as
-    # (detect mask, sign mask & detect mask), and its weight
-    pairs: tuple[tuple[int, int, int], ...]
+        return f"Model(name={self.name!r}, states={N_STATES})"
 
 
 def _site_mask(sites: Iterable[Site]) -> int:
@@ -284,19 +318,17 @@ def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution
 
 class _ContextTable(dict):
     """A model's context table: per context site mask, filled on first lookup, the detected
-    weight and its split by outcome, keyed by ``sign & mask``, over ``_core.scale``."""
+    weight and its split by outcome, keyed by ``sign & mask``, over ``scale``."""
 
     def __init__(self, model: Model) -> None:
-        self.lcm = model._core.scale // N_STATES
-        try:  # uniformity is read from the slots, whatever built the model
-            self.families = model.element_families()
-        except ValueError:
-            self.families = None
-            groups: dict[int, dict[int, int]] = {}  # detect mask -> {sign & detect: weight}
-            for detect, signs, weight in model._core.pairs:
-                group = groups.setdefault(detect, {})
-                group[signs] = group.get(signs, 0) + weight
-            self.groups = tuple((detect, tuple(g.items())) for detect, g in groups.items())
+        self.families = model._families
+        self.lcm = model._lcm
+        self.scale = N_STATES * self.lcm
+        if self.families is None:
+            groups: dict[int, list[tuple[int, int]]] = {}  # detect mask -> [(sign & detect, weight)]
+            for code, weight in model._mspecs[1].items():
+                groups.setdefault(code >> 9, []).append((code & 511, weight))
+            self.groups = tuple(groups.items())
 
     def __missing__(self, mask: int) -> tuple[int, dict[int, int]]:
         buckets: dict[int, int] = {}
@@ -341,16 +373,13 @@ def detection_probability(
     """
     mask = _site_mask(context.sites)
     if restrict is None:
-        return Fraction(model._contexts[mask][0], model._core.scale)
-    if isinstance(restrict, PartitionElement):
-        targets = list(partition_classes()[restrict])
-    else:
-        targets = [restrict]
-    total = Fraction(0)
-    for state in targets:
-        family = model.family(state)
-        total += Fraction(len(_detecting(family, mask)), len(family))
-    return total / len(targets)
+        table = model._contexts
+        return Fraction(table[mask][0], table.scale)
+    states = partition_classes()[restrict] if isinstance(restrict, PartitionElement) else (restrict,)
+    families = [model.family(state) for state in states]
+    lcm = math.lcm(*{len(family) for family in families})
+    hits = sum(len(_detecting(family, mask)) * (lcm // len(family)) for family in families)
+    return Fraction(hits, lcm * len(states))
 
 
 def conditional_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
@@ -397,8 +426,9 @@ def conditional_probability_by_element(
 
 def total_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Overall display probability: detection times conditional, or 0."""
-    _, buckets = model._contexts[_site_mask(assign.context.sites)]
-    return Fraction(buckets.get(_outcome_key(assign.items()), 0), model._core.scale)
+    table = model._contexts
+    _, buckets = table[_site_mask(assign.context.sites)]
+    return Fraction(buckets.get(_outcome_key(assign.items()), 0), table.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +540,7 @@ def verify_dm(model: Model) -> VerificationReport:
     """Detection masking: a state violating a triad constraint must leave at
     least one site of that triad undetected, in every d-distribution."""
     failures: list[Failure] = []
-    for (state, family), (_, element) in zip(model.assignment, _state_classes()):
+    for (state, family), (_, element) in zip(model._slots(), _state_classes()):
         for triad in element.violated:
             for ddist in _detecting(family, triad.mask):
                 failures.append(DmFailure(state, ddist, triad))
@@ -518,8 +548,8 @@ def verify_dm(model: Model) -> VerificationReport:
 
 
 def is_deterministic(model: Model) -> bool:
-    """Whether every state has exactly one d-distribution."""
-    return all(len(family) == 1 for _, family in model.assignment)
+    """Whether every state has exactly one d-distribution: the family sizes' lcm is 1."""
+    return model._lcm == 1
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +558,7 @@ def is_deterministic(model: Model) -> bool:
 _SLOT_ORDER = {"+1": 0, "-1": 1, "D": 2}
 _XY_INDEX = tuple(s.index for s in XY_SITES)
 _XY_MASK = _site_mask(XY_SITES)
+_XY_CODE = _XY_MASK << 9 | _XY_MASK  # an m-specification code's combination
 _SLOT_NAMES = {+1: "+1", -1: "-1", 0: "D"}
 _TRIAD_SLOTS = {
     triad: tuple(XY_SITES.index(s) for s in triad.sites) for triad in Triad
@@ -605,17 +636,17 @@ def _combination(detect: int, signs: int) -> Combination:
 
 
 def combination_distribution(model: Model) -> CombinationDistribution:
-    core = model._core
+    scale = N_STATES * model._lcm
     weights: dict[tuple[int, int], int] = {}  # (detect, sign) masks on the x/y sites
     undetected = 0
-    for detect, signs, weight in core.pairs:
-        if detect:  # a z-only d-distribution still yields the all-D combination
-            key = (detect & _XY_MASK, signs & _XY_MASK)
+    for code, weight in model._mspecs[1].items():
+        if code >> 9:  # a z-only d-distribution still yields the all-D combination
+            key = code & _XY_CODE
             weights[key] = weights.get(key, 0) + weight
         else:
             undetected += weight
-    masses = {_combination(*key): Fraction(w, core.scale) for key, w in weights.items()}
-    return CombinationDistribution(masses, Fraction(undetected, core.scale))
+    masses = {_combination(*divmod(key, 512)): Fraction(w, scale) for key, w in weights.items()}
+    return CombinationDistribution(masses, Fraction(undetected, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +665,9 @@ class CensusRecord(NamedTuple):
 def census(model: Model) -> CensusRecord:
     """A d-distribution is its detect mask, an m-specification its
     (detect, sign & detect) masks, a combination those masks on the x/y sites."""
-    ddists: set[int] = set()
-    mspecs: set[tuple[int, int]] = set()
-    combos: set[tuple[int, int]] = set()
-    for detect, signs, _ in model._core.pairs:
-        ddists.add(detect)
-        mspecs.add((detect, signs))
-        if detect:
-            combos.add((detect & _XY_MASK, signs & _XY_MASK))
-    return CensusRecord(len(ddists), len(mspecs), len(combos))
+    mspecs = set(model._mspecs[0])
+    combos = {code & _XY_CODE for code in mspecs if code >> 9}
+    return CensusRecord(len({code >> 9 for code in mspecs}), len(mspecs), len(combos))
 
 
 @lru_cache(maxsize=3**9)  # one entry per m-specification
@@ -652,5 +677,4 @@ def _mspecification(detect: int, signs: int) -> MSpecification:
 
 def mspec_occurrences(model: Model) -> Counter[MSpecification]:
     """How many (state, d-distribution) pairs produce each m-specification."""
-    counts = Counter((detect, signs) for detect, signs, _ in model._core.pairs)
-    return Counter({_mspecification(*key): n for key, n in counts.items()})
+    return Counter({_mspecification(*divmod(code, 512)): n for code, n in model._mspecs[0].items()})

@@ -326,7 +326,7 @@ def partition_classes() -> dict[PartitionElement, tuple[MicroState, ...]]:
 
 
 def enumerate_contexts() -> list[MeasurementContext]:
-    """All 63 compatible contexts: 9 singles, 27 pairs, 27 triples.
+    """All 63 compatible contexts: 9 singles, 27 pairs, 27 triples, over the ``SITES`` entries.
 
     Canonical order: by context size, then by particle subset, then by the
     axis assignment in X < Y < Z order.
@@ -334,7 +334,7 @@ def enumerate_contexts() -> list[MeasurementContext]:
     contexts = []
     for size in (1, 2, 3):
         for particles in itertools.combinations(PARTICLES, size):
-            for axes in itertools.product(AXES, repeat=size):
-                sites = tuple(Site(a, p) for a, p in zip(axes, particles))
+            for axes in itertools.product(range(len(AXES)), repeat=size):
+                sites = tuple(SITES[3 * (p - 1) + a] for a, p in zip(axes, particles))
                 contexts.append(MeasurementContext(sites))
     return contexts

@@ -10,7 +10,8 @@ models hold one drawn family per partition class, so their context table is
 summed from the class outcome histograms; each is built from its 8 families
 (one family object per class) and from a state map of equal but distinct
 families, and again with one state's family swapped, which takes the per-state
-route.
+route.  A class-built model holds only its families: its views are checked
+before, and without, its 128 slots being stored.
 """
 
 from collections import Counter
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 from ghzlocal import (
     DDistribution,
     Model,
+    SearchSpec,
+    Triad,
     PartitionElement,
     UndefinedConditionalError,
     census,
@@ -32,11 +35,16 @@ from ghzlocal import (
     detection_probability,
     enumerate_contexts,
     enumerate_ghz_microstates,
+    is_deterministic,
+    model_m1,
+    model_m2,
+    model_m3,
     OutcomeAssignment,
     m_specification,
     outcome_assignments,
     partition_classes,
     qm_probability,
+    search_models,
     to_combination,
     total_probability,
     verify_ac,
@@ -243,3 +251,89 @@ def test_class_outcomes_count_the_class_states():
                 for state in partition_classes()[element]
             )
             assert dict(_class_outcomes(element, _site_mask(context.sites))) == direct
+
+
+def slot_free_views(model: Model) -> list:
+    """The views that a class-built model answers without storing its slots, with the order of
+    failures, combination masses and m-specifications kept."""
+    ac, dist = verify_ac(model), combination_distribution(model)
+    return [
+        (ac.failures, ac.skipped),
+        verify_dm(model).failures,
+        tuple(census(model)),
+        (list(dist.masses.items()), dist.undetected),
+        list(mspec_occurrences(model).items()),
+        is_deterministic(model),
+        model.element_families(),
+        repr(model),
+    ]
+
+
+def reference_views(model: Model) -> list:
+    """``slot_free_views`` from the Fraction loops over the model's slots."""
+    ref = reference(model)
+    return [
+        ref["ac"],
+        ref["dm"],
+        ref["census"],
+        ref["combinations"],
+        ref["mspecs"],
+        all(len(family) == 1 for _, family in model.assignment),
+        {classify(state): family for state, family in model.assignment},
+        f"Model(name={model.name!r}, states=128)",
+    ]
+
+
+def check_class_views(families: dict) -> None:
+    """The views of a class-built model, computed without storing its slots, against the
+    Fraction loops over the state-map model of the same slots."""
+    lazy = Model.from_element_families("uniform", families)
+    by_state = Model.from_state_map("uniform", {state: families[classify(state)] for state in STATES})
+    assert slot_free_views(lazy) == reference_views(by_state)
+    assert "assignment" not in lazy.__dict__
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models=uniform_models())
+def test_class_views_match_fraction_loops_without_slots(models):
+    by_class, by_state, swapped = models
+    check_class_views(by_class.element_families())
+    for model in models:
+        assert is_deterministic(model) == all(len(family) == 1 for _, family in model.assignment)
+    # the probe: the class build sets it, the slots give it once, whatever built the model
+    assert by_class._families == by_state._families == by_class.element_families()
+    assert swapped._families is None
+    with pytest.raises(ValueError, match="not uniform on"):
+        swapped.element_families()
+
+
+@pytest.mark.parametrize("builder", [model_m3, model_m1, model_m2])
+def test_class_views_of_the_builtin_models(builder):
+    check_class_views(builder().element_families())
+
+
+def test_class_views_list_dm_failures_in_state_order():
+    # every class fails detection masking on each triad it violates, so the
+    # failures of all 128 states interleave the classes
+    check_class_views({element: (DDistribution.all_detected(),) for element in PartitionElement})
+    mixed = {element: (ddist(0), ddist(ALL_DETECTED), ddist(0b111111000)) for element in PartitionElement}
+    check_class_views(mixed)
+
+
+def test_class_built_models_derive_their_slots_only_on_demand():
+    """Searching, building a built-in and every view below leave a class-built model's
+    128 slots unbuilt; a per-state reader then derives them, equal to the constructor's."""
+    searched = search_models(SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=6))
+    views = (
+        verify_ac, verify_dm, census, combination_distribution, mspec_occurrences,
+        is_deterministic, Model.element_families, repr,
+        lambda model: detection_probability(model, Triad.I.context),
+        lambda model: total_probability(model, outcome_assignments(Triad.IV.context)[0]),
+    )
+    for model in [*searched, model_m3(), model_m1(), model_m2()]:
+        assert "assignment" not in model.__dict__
+        for view in views:
+            view(model)
+            assert "assignment" not in model.__dict__, view
+        assert model == Model.from_state_map(model.name, dict(model.assignment))
+        assert "assignment" in model.__dict__

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from ghzlocal import model_m2
+from ghzlocal.serialize import model_to_json
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
@@ -23,6 +26,7 @@ COMMAND_IMPORTS = [
     (["export", "M1"], {"builtin", "models", "serialize"}, {"qm", "search"}),
     (["verify", "M2"], {"builtin", "models", "qm"}, {"search"}),
     (["verify", "M2", "--counts", "192,96"], {"builtin", "models", "search"}, set()),
+    (["verify", "m2.json"], {"models", "qm", "serialize"}, {"builtin", "search"}),
 ]
 
 
@@ -47,6 +51,7 @@ def imported_submodules(argv: list[str], cwd: Path) -> set[str]:
 )
 def test_each_command_imports_only_what_it_uses(tmp_path, argv, runs, absent):
     (tmp_path / "spec.json").write_text('{"failure_count": 3, "ddists_per_state": 1}')
+    (tmp_path / "m2.json").write_text(json.dumps(model_to_json(model_m2())))
     loaded = imported_submodules(argv, tmp_path)
     assert runs <= loaded
     assert not loaded & absent

@@ -1,10 +1,14 @@
 """State space: enumeration, triad constraints, partition, contexts."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzlocal import (
+    AXES,
+    PARTICLES,
     SITES,
     XY_SITES,
     Axis,
@@ -210,6 +214,20 @@ def test_enumerate_contexts():
     assert MeasurementContext.from_labels("x1", "y2", "y3") in contexts
     assert len(set(contexts)) == 63
     assert enumerate_contexts() == contexts
+
+
+def test_contexts_hold_the_canonical_sites_in_the_canonical_order():
+    # the order as written out: size, then particle subset, then axes in X < Y < Z order
+    expected = [
+        MeasurementContext(tuple(Site(axis, particle) for axis, particle in zip(axes, particles)))
+        for size in (1, 2, 3)
+        for particles in itertools.combinations(PARTICLES, size)
+        for axes in itertools.product(AXES, repeat=size)
+    ]
+    contexts = enumerate_contexts()
+    assert contexts == expected
+    assert [c.label for c in contexts[:4]] == ["x1", "y1", "z1", "x2"]
+    assert all(site is SITES[site.index] for context in contexts for site in context.sites)
 
 
 @given(st.sampled_from(enumerate_contexts()))
