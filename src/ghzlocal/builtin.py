@@ -1,15 +1,16 @@
 """The three canonical models M3, M1, M2 and their reproduction report.
 
-Each model is defined by a small table: which sites each partition class
-leaves undetected.  The tables are shipped as literal data; the test suite
-re-derives them from the triad structure and validates every published count
-and probability before trusting them.
+Each model is built class by class from the triad structure each
+``PartitionElement`` carries (``satisfied``, ``violated``) and the sites of
+each ``Triad``; the test suite derives the same rules independently and
+validates every published count and probability against the built models.
 
 * M3 - deterministic, one d-distribution per class, three U-flags each:
-  a starred class keeps exactly its satisfied triad (plus all z) detectable,
-  a triple-intersection class masks exactly its violated triad.
+  a starred class masks the x/y sites outside its satisfied triad (so it keeps
+  that triad and all z detectable), a triple-intersection class masks exactly
+  its violated triad.
 * M1 - starred classes are never detected at all; a triple-intersection state
-  has three d-distributions, each masking a single site of its violated triad.
+  has three d-distributions, each masking a single site of its M3 mask.
 * M2 - two U-flags per d-distribution, z always detected: a starred class
   takes the three site pairs inside its M3 mask, a triple-intersection class
   all nine same-triad pairs that touch its violated triad.
@@ -17,13 +18,14 @@ and probability before trusting them.
 The reproduction report is one table per model: a flat list of rows
 ``(name, expected, actual)``.  ``expected`` is the published value as text;
 ``actual`` is always computed from the model handed to the report, never
-copied from the table, so a wrong model fails the rows it breaks.
+copied from the rules, so a wrong model fails the rows it breaks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable
 
 from . import BUILTIN_SELECTORS  # noqa: F401  (re-exported)
@@ -44,6 +46,8 @@ from .models import (
 )
 from .state_space import (
     SITES,
+    XY_SITES,
+    Z_SITES,
     MeasurementContext,
     PartitionElement,
     Site,
@@ -53,91 +57,49 @@ from .state_space import (
 )
 
 E = PartitionElement
-_SITE_BY_LABEL: dict[str, Site] = {site.label: site for site in SITES}
-
-# Undetected-site tables, one mask (or family of masks) per partition class.
-
-M3_UNDETECTED: dict[PartitionElement, tuple[str, ...]] = {
-    E.I0: ("y1", "x2", "x3"),
-    E.II0: ("x1", "y2", "x3"),
-    E.III0: ("x1", "x2", "y3"),
-    E.IV0: ("y1", "y2", "y3"),
-    E.I_II_III: ("x1", "x2", "x3"),
-    E.I_II_IV: ("y1", "y2", "x3"),
-    E.I_III_IV: ("y1", "x2", "y3"),
-    E.II_III_IV: ("x1", "y2", "y3"),
-}
-
-# M1: starred classes get the all-undetected distribution; each other class
-# lists the single-U masks, one per site of its violated triad.
-M1_SINGLE_UNDETECTED: dict[PartitionElement, tuple[str, ...]] = {
-    E.I_II_III: ("x1", "x2", "x3"),
-    E.I_II_IV: ("y1", "y2", "x3"),
-    E.I_III_IV: ("y1", "x2", "y3"),
-    E.II_III_IV: ("x1", "y2", "y3"),
-}
-
-M2_UNDETECTED_PAIRS: dict[PartitionElement, tuple[tuple[str, str], ...]] = {
-    E.I0: (("y1", "x2"), ("y1", "x3"), ("x2", "x3")),
-    E.II0: (("x1", "y2"), ("x1", "x3"), ("y2", "x3")),
-    E.III0: (("x1", "x2"), ("x1", "y3"), ("x2", "y3")),
-    E.IV0: (("y1", "y2"), ("y1", "y3"), ("y2", "y3")),
-    E.I_II_III: (
-        ("x1", "y2"), ("x1", "y3"), ("y1", "x2"), ("y1", "x3"),
-        ("x1", "x2"), ("x1", "x3"), ("x2", "x3"), ("x2", "y3"), ("y2", "x3"),
-    ),
-    E.I_II_IV: (
-        ("y1", "y2"), ("y1", "y3"), ("y1", "x3"), ("y1", "x2"), ("x1", "y2"),
-        ("y2", "y3"), ("y2", "x3"), ("x1", "x3"), ("x2", "x3"),
-    ),
-    E.I_III_IV: (
-        ("y1", "x2"), ("y1", "y2"), ("y1", "y3"), ("y1", "x3"), ("x1", "x2"),
-        ("x2", "x3"), ("x2", "y3"), ("x1", "y3"), ("y2", "y3"),
-    ),
-    E.II_III_IV: (
-        ("x1", "x2"), ("x1", "x3"), ("x1", "y2"), ("x1", "y3"), ("y1", "y2"),
-        ("y2", "y3"), ("y1", "y3"), ("y2", "x3"), ("x2", "y3"),
-    ),
-}
 
 
-def _mask(labels: tuple[str, ...]) -> DDistribution:
-    return DDistribution.with_undetected(_SITE_BY_LABEL[lb] for lb in labels)
+def _m3_mask(element: PartitionElement) -> tuple[Site, ...]:
+    """The sites M3 leaves undetected: the x/y sites outside a starred class's
+    satisfied triad, or the sites of a triple class's violated triad."""
+    if element.is_starred:
+        (satisfied,) = element.satisfied
+        return tuple(s for s in XY_SITES if s not in satisfied.sites)
+    (violated,) = element.violated
+    return violated.sites
+
+
+def _m2_pairs(element: PartitionElement) -> Iterable[tuple[Site, Site]]:
+    """The site pairs inside a starred class's M3 mask, or the nine same-triad
+    pairs that touch a triple class's violated triad."""
+    if element.is_starred:
+        return combinations(_m3_mask(element), 2)
+    (violated,) = element.violated
+    return [(a, b) for t in Triad for a, b in combinations(t.sites, 2) if a in violated.sites or b in violated.sites]
+
+
+def _built(name: str, masks: Callable[[PartitionElement], Iterable[Iterable[Site]]]) -> Model:
+    """The model whose family for each class masks each site set ``masks`` lists."""
+    families = {el: tuple(DDistribution.with_undetected(mask) for mask in masks(el)) for el in E}
+    return Model.from_element_families(name, families)
 
 
 def model_m3() -> Model:
     """Deterministic model with three detection failures per object."""
-    families = {el: (_mask(labels),) for el, labels in M3_UNDETECTED.items()}
-    return Model.from_element_families("M3", families)
+    return _built("M3", lambda el: [_m3_mask(el)])
 
 
 def model_m1() -> Model:
     """Single detection failure on the detectable half, total failure elsewhere."""
-    families: dict[PartitionElement, tuple[DDistribution, ...]] = {}
-    for element in PartitionElement:
-        if element.is_starred:
-            families[element] = (DDistribution.all_undetected(),)
-        else:
-            families[element] = tuple(
-                _mask((lb,)) for lb in M1_SINGLE_UNDETECTED[element]
-            )
-    return Model.from_element_families("M1", families)
+    return _built("M1", lambda el: [SITES] if el.is_starred else [(s,) for s in _m3_mask(el)])
 
 
 def model_m2() -> Model:
     """Two detection failures per object, z components always detected."""
-    families = {
-        el: tuple(_mask(pair) for pair in pairs)
-        for el, pairs in M2_UNDETECTED_PAIRS.items()
-    }
-    return Model.from_element_families("M2", families)
+    return _built("M2", _m2_pairs)
 
 
-_BUILDERS: dict[str, Callable[[], Model]] = {
-    "M3": model_m3,
-    "M1": model_m1,
-    "M2": model_m2,
-}
+_BUILDERS: dict[str, Callable[[], Model]] = {"M3": model_m3, "M1": model_m1, "M2": model_m2}
 
 
 def builtin_model(selector: str) -> Model:
@@ -337,10 +299,9 @@ def _m1_rows(model: Model) -> list[_Row]:
 def _m2_rows(model: Model) -> list[_Row]:
     counts = census(model)
     ddists = [dd for family in model.element_families().values() for dd in family]
-    z_sites = _site_mask(_SITE_BY_LABEL[f"z{n}"] for n in (1, 2, 3))
     return [
         ("every d-distribution has exactly two undetected sites", "yes", _yes(all(dd.undetected_count == 2 for dd in ddists))),
-        ("z sites always detected", "yes", _yes(_detecting(ddists, z_sites) == ddists)),
+        ("z sites always detected", "yes", _yes(_detecting(ddists, _site_mask(Z_SITES)) == ddists)),
         ("distinct m-specifications", "192", str(counts.m_specifications)),
         ("distinct combinations", "96", str(counts.combinations)),
         ("pooled occurrence multiplicity of every m-specification", "4", _same(mspec_occurrences(model).values())),

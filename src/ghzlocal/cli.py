@@ -53,7 +53,7 @@ def _read_json(path: str, what: str) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a too long integer, too deep nesting
         raise InputError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
@@ -414,21 +414,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if outcome.payload:  # an iterable of lines is always written
-        if args.output:
-            try:
+        try:
+            if args.output:
                 with open(args.output, "w", encoding="utf-8") as handle:
                     _write(outcome.payload, handle)
-            except OSError as exc:
-                print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
-                return EXIT_IO
-        else:
-            try:
+            else:
                 _write(outcome.payload, sys.stdout)
-            except BrokenPipeError:
-                # the reader stopped early (`search ... | head`); point stdout at
-                # /dev/null so that the flush at exit cannot fail again
+        except OSError as exc:
+            if not args.output:  # point stdout at /dev/null so that the flush at exit cannot fail again
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                return EXIT_IO
+            if args.output or not isinstance(exc, BrokenPipeError):  # a reader may stop early: `search ... | head`
+                where = repr(args.output) if args.output else "to stdout"
+                print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+            return EXIT_IO
     return outcome.exit_code
 
 

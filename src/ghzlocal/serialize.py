@@ -94,14 +94,10 @@ def ddistribution_from_json(flags: Any) -> DDistribution:
     """One shared instance per flags tuple."""
     if not isinstance(flags, list) or len(flags) != 9:
         raise FormatError(f"d-distribution must be a JSON array of 9 flags: {flags!r}")
-    try:  # valid flags arrive as exact strings and need no str()
-        return _shared_ddistribution(tuple(flags))
-    except (TypeError, ValueError):  # an unhashable or invalid flag
-        pass
     try:
-        return _shared_ddistribution(tuple(map(str, flags)))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        return _shared_ddistribution(tuple(flags))
+    except (TypeError, ValueError) as exc:  # an unhashable or invalid flag
+        raise FormatError(f"flags must be 'D' or 'U': {flags!r}") from exc
 
 
 # --------------------------------------------------------------------------- models
@@ -129,6 +125,10 @@ def model_from_json(data: Any) -> Model:
     states = data.get("states")
     if not isinstance(name, str) or not isinstance(states, list):
         raise FormatError("model document needs string 'name' and array 'states'")
+    try:  # a lone surrogate such as "\ud800" is valid JSON but no text
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"model name {name!r} is not valid Unicode") from exc
     read: dict[int, list[DDistribution]] = {}  # keyed by sign mask, one per state
     for entry in states:
         if not isinstance(entry, dict) or "values" not in entry or "ddists" not in entry:

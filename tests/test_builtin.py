@@ -1,8 +1,9 @@
 """The three shipped models against every published count and probability.
 
-The undetected-site tables are literal data; these tests re-derive each table
-from the triad structure and check the full set of stated numbers, so a wrong
-entry cannot survive.
+The models are built in ``builtin.py`` from their class rules; these tests
+derive the same rules independently from the triad structure, compare them
+with the built families, and check the full set of stated numbers, so a wrong
+rule cannot survive.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from ghzlocal import (
     MeasurementContext,
     Model,
     PartitionElement,
-    Site,
     Triad,
     census,
     detection_probability,
@@ -26,12 +26,7 @@ from ghzlocal import (
     reproduce_section4,
 )
 from ghzlocal import builtin
-from ghzlocal.builtin import (
-    M1_SINGLE_UNDETECTED,
-    M2_UNDETECTED_PAIRS,
-    M3_UNDETECTED,
-    builtin_model,
-)
+from ghzlocal.builtin import builtin_model
 
 
 def ctx(*labels: str) -> MeasurementContext:
@@ -46,12 +41,22 @@ def same_triad_pairs():
     return {frozenset(pair) for t in Triad for pair in itertools.combinations(t.sites, 2)}
 
 
-# --------------------------------------------------------------------------- table derivations
+def undetected_labels(selector):
+    """Per class, the undetected-site labels of each d-distribution of the built model."""
+    return {
+        element: [{s.label for s in dd.undetected_sites} for dd in family]
+        for element, family in builtin_model(selector).element_families().items()
+    }
+
+
+# --------------------------------------------------------------------------- rule derivations
 
 
 def test_m3_table_matches_triad_structure():
-    for element, labels in M3_UNDETECTED.items():
-        mask = {lb for lb in labels}
+    families = undetected_labels("M3")
+    assert set(families) == set(PartitionElement)
+    for element, masks in families.items():
+        (mask,) = masks
         if element.is_starred:
             (satisfied,) = element.satisfied
             expected = {s.label for s in xy_complement(satisfied.sites)}
@@ -62,15 +67,23 @@ def test_m3_table_matches_triad_structure():
 
 
 def test_m1_table_masks_the_violated_triad():
-    for element, labels in M1_SINGLE_UNDETECTED.items():
+    families = undetected_labels("M1")
+    assert set(families) == set(PartitionElement)
+    for element, masks in families.items():
+        if element.is_starred:
+            assert masks == [{f"{axis}{n}" for axis in "xyz" for n in (1, 2, 3)}], element
+            continue
         (violated,) = element.violated
-        assert set(labels) == {s.label for s in violated.sites}, element
+        assert all(len(mask) == 1 for mask in masks), element
+        assert sorted(lb for mask in masks for lb in mask) == sorted(s.label for s in violated.sites), element
 
 
 def test_m2_table_matches_pair_rule():
     shared = same_triad_pairs()
-    for element, pairs in M2_UNDETECTED_PAIRS.items():
-        got = {frozenset(p) for p in pairs}
+    families = undetected_labels("M2")
+    assert set(families) == set(PartitionElement)
+    for element, masks in families.items():
+        got = {frozenset(mask) for mask in masks}
         if element.is_starred:
             (satisfied,) = element.satisfied
             complement = xy_complement(satisfied.sites)
@@ -245,10 +258,7 @@ def test_unknown_selector_raises():
 
 def m3_with_exposed_triple_intersection() -> Model:
     """M3 with the I&II&III class always fully detected: breaks adequacy and masking."""
-    families = {
-        element: (DDistribution.with_undetected(Site.from_label(lb) for lb in labels),)
-        for element, labels in M3_UNDETECTED.items()
-    }
+    families = builtin_model("M3").element_families()
     families[PartitionElement.I_II_III] = (DDistribution.all_detected(),)
     return Model.from_element_families("M3-exposed", families)
 

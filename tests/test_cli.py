@@ -90,7 +90,9 @@ def test_verify_invalid_json_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["verify", "search"])
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe{}", b'{"limit": ' + b"9" * 5000 + b"}"], ids=["not-utf8", "long-int"]
+    "content",
+    [b"\xff\xfe{}", b'{"limit": ' + b"9" * 5000 + b"}", b"[" * 100_000],
+    ids=["not-utf8", "long-int", "too-deep"],
 )
 def test_undecodable_file_is_parse_error(capsys, tmp_path, command, content):
     path = tmp_path / "input.json"
@@ -108,6 +110,17 @@ def test_verify_unsupported_schema_version_is_parse_error(capsys, tmp_path, m3):
     assert code == 3
     assert out == ""
     assert "schema_version" in err
+
+
+@pytest.mark.parametrize("command", [("verify",), ("probs", "x1")])
+def test_model_name_that_is_not_unicode_is_parse_error(capsys, tmp_path, m3, command):
+    # "\ud800x" is valid JSON, but no text a table could print
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({**model_to_json(m3), "name": "\ud800x"}))
+    name, *rest = command
+    code, out, err = run(capsys, name, str(path), *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid model file ") and "not valid Unicode" in err
 
 
 @pytest.mark.parametrize("command", [("verify",), ("probs", "--outcomes", "+1", "x1"), ("export",)])
@@ -305,6 +318,18 @@ def test_search_stops_quietly_when_the_reader_closes_the_pipe(tmp_path):
         proc.wait()
     assert proc.returncode == 3
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_stdout_is_io_error():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzlocal", "states"],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"error: cannot write to stdout: ") and proc.stderr.count(b"\n") == 1
 
 
 def test_search_limit_flag_overrides(capsys, tmp_path):

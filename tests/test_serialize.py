@@ -92,12 +92,17 @@ def test_readers_hand_out_one_shared_instance_per_value(m3):
 
 
 def test_ddistribution_reader_refuses_other_flags_by_their_text():
-    # a flag that is not exactly "D" or "U" is reported as str() gives it,
+    # a flag that is not exactly "D" or "U" is reported as the document gave it,
     # and no refused tuple enters the shared table
     for i, bad in itertools.product(range(9), (1, None, True, [1], {"D": 1}, "d", "DU", "")):
         flags = ["D"] * 9
         flags[i] = bad
-        message = f"flags must be 'D' or 'U': {tuple(map(str, flags))!r}"
+        message = f"flags must be 'D' or 'U': {flags!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            ddistribution_from_json(flags)
+    # spelled out: 1 is not shown as '1', nor null as 'None'
+    for flags, shown in (([1] * 9, "[1, 1, 1, 1, 1, 1, 1, 1, 1]"), (["D"] * 8 + [None], "[" + "'D', " * 8 + "None]")):
+        message = f"flags must be 'D' or 'U': {shown}"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             ddistribution_from_json(flags)
     assert len(_DDISTRIBUTIONS) <= 512
@@ -202,6 +207,8 @@ def test_model_from_json_rejects_bad_documents(m3):
     document["states"][0]["ddists"] *= 2
     with pytest.raises(FormatError, match=re.escape(f"state {m3.assignment[0][0].label} ")):
         model_from_json(document)
+    with pytest.raises(FormatError, match="not valid Unicode"):
+        model_from_json({**model_to_json(m3), "name": "\ud800x"})
 
 
 def test_context_parsing():
