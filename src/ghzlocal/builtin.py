@@ -15,16 +15,25 @@ validates every published count and probability against the built models.
   takes the three site pairs inside its M3 mask, a triple-intersection class
   all nine same-triad pairs that touch its violated triad.
 
+``builtin_model`` hands out one shared instance per selector per process, built
+on first use: a model is immutable, and its integer views fill once.
+``model_m3``, ``model_m1`` and ``model_m2`` build a fresh model on every call.
+
 The reproduction report is one table per model: a flat list of rows
 ``(name, expected, actual)``.  ``expected`` is the published value as text;
 ``actual`` is always computed from the model handed to the report, never
-copied from the rules, so a wrong model fails the rows it breaks.
+copied from the rules, so a wrong model fails the rows it breaks.  Nothing of
+the report is kept: every call recomputes every row.  The rows read the class
+families (so a report takes a uniform model, as all three are) and the integer
+views of ``models.py``, and build one ``Fraction`` per printed value from
+integer sums.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -32,15 +41,14 @@ from . import BUILTIN_SELECTORS  # noqa: F401  (re-exported)
 from .models import (
     DDistribution,
     Model,
+    UndefinedConditionalError,
     _detecting,
     _site_mask,
     census,
     combination_distribution,
-    conditional_probability,
     detection_probability,
     is_deterministic,
     m_specification,
-    mspec_occurrences,
     verify_ac,
     verify_dm,
 )
@@ -102,10 +110,16 @@ def model_m2() -> Model:
 _BUILDERS: dict[str, Callable[[], Model]] = {"M3": model_m3, "M1": model_m1, "M2": model_m2}
 
 
+@cache
+def _shared(selector: str) -> Model:
+    return _BUILDERS[selector]()
+
+
 def builtin_model(selector: str) -> Model:
-    """Model for a selector string; raises KeyError for unknown selectors."""
+    """The one shared model for a selector, built on first use; raises KeyError for
+    unknown selectors.  A model is immutable, so every caller may hold the same one."""
     try:
-        return _BUILDERS[selector]()
+        return _shared(selector)
     except KeyError:
         raise KeyError(f"unknown model selector {selector!r}; use M3, M1 or M2") from None
 
@@ -165,30 +179,36 @@ def _same(values: Iterable[object]) -> str:
     return str(distinct.pop()) if len(distinct) == 1 else "mixed"
 
 
-def _singles(model: Model, axes: str) -> str:
-    """The detection probability shared by every single site on the given axes."""
-    return _same(
-        detection_probability(model, MeasurementContext.from_labels(f"{axis}{n}"))
-        for axis in axes
-        for n in (1, 2, 3)
-    )
+def _same_ratio(numerators: Iterable[int], scale: int) -> str:
+    """The one fraction ``n / scale`` shared by all ``numerators``, as a string, or "mixed"."""
+    distinct = set(numerators)
+    return str(Fraction(distinct.pop(), scale)) if len(distinct) == 1 else "mixed"
+
+
+def _singles(model: Model, sites: Iterable[Site]) -> str:
+    """The detection probability shared by every single site given."""
+    table = model._contexts
+    return _same_ratio((table[1 << s.index][0] for s in sites), table.scale)
+
+
+def _satisfying(triad: Triad) -> list[int]:
+    """The sign masks (bit set where -1) of the 4 outcome triples on the triad's sites whose
+    product is its required sign: those with an even, or for IV an odd, number of -1s."""
+    return [_site_mask(c) for n in range(4) if (-1) ** n == triad.required_sign for c in combinations(triad.sites, n)]
 
 
 def _triad_events(model: Model) -> dict[Triad, tuple[Fraction, bool]]:
     """Per triad, the conditional mass of its constraint event, and whether every
-    satisfying outcome triple has conditional 1/4 and every other triple 0."""
-    from .qm import outcome_assignments
+    satisfying outcome triple has conditional 1/4 and every other triple 0.  Read from
+    the triad's context-table entry, whose buckets are keyed by outcome sign mask."""
     events = {}
     for triad in Triad:
-        mass, exact = Fraction(0), True
-        for assign in outcome_assignments(triad.context):
-            p = conditional_probability(model, assign)
-            if assign.outcomes[0] * assign.outcomes[1] * assign.outcomes[2] == triad.required_sign:
-                mass += p
-                exact = exact and p == Fraction(1, 4)
-            else:
-                exact = exact and p == 0
-        events[triad] = (mass, exact)
+        detected, buckets = model._contexts[triad.mask]
+        if detected == 0:
+            raise UndefinedConditionalError(f"model {model.name!r} never detects context {triad.context.label}")
+        satisfying = _satisfying(triad)  # at 1/4 each they carry all the mass, the others none
+        mass = sum(buckets.get(key, 0) for key in satisfying)
+        events[triad] = (Fraction(mass, detected), all(4 * buckets.get(key, 0) == detected for key in satisfying))
     return events
 
 
@@ -203,11 +223,11 @@ def _m3_rows(model: Model) -> list[_Row]:
     counts = census(model)
     dist = combination_distribution(model)
     events = _triad_events(model)
-    i0_states = partition_classes()[E.I0]
+    families = model.element_families()
     # the I0 class yields the 8 outcome patterns (i1,0,k; 0,j2,k; 0,j3,k) with j3 = i1*j2
     patterns = {(i1, 0, k, 0, j2, k, 0, i1 * j2, k) for k in (1, -1) for i1 in (1, -1) for j2 in (1, -1)}
-    i0_specs = {m_specification(s, model.family(s)[0]).values for s in i0_states}
-    triple_detected = {state for state, family in model.assignment if _detecting(family, Triad.I.mask)}
+    i0_specs = {m_specification(s, families[E.I0][0]).values for s in partition_classes()[E.I0]}
+    triple_detected = [el for el, family in families.items() if _detecting(family, Triad.I.mask)]
     tally = Counter(dist.masses.values())
     return [
         ("deterministic", "yes", _yes(is_deterministic(model))),
@@ -219,12 +239,12 @@ def _m3_rows(model: Model) -> list[_Row]:
             "match",
             "match" if i0_specs == patterns else "mismatch",
         ),
-        ("detection probability, z singles", "1", _singles(model, "z")),
-        ("detection probability, x/y singles", "1/2", _singles(model, "xy")),
+        ("detection probability, z singles", "1", _singles(model, Z_SITES)),
+        ("detection probability, x/y singles", "1/2", _singles(model, XY_SITES)),
         (
             "states triple-detected in the first triad",
             "the 16 states of I0",
-            "the 16 states of I0" if triple_detected == set(i0_states) else f"{len(triple_detected)} other states",
+            "the 16 states of I0" if triple_detected == [E.I0] else f"{16 * len(triple_detected)} other states",
         ),
         ("conditional probability of the first-triad constraint event", "16/16", f"{16 * events[Triad.I][0]}/16"),
         *_event_rows(events, "4/16"),
@@ -242,27 +262,23 @@ def _m3_rows(model: Model) -> list[_Row]:
 def _m1_rows(model: Model) -> list[_Row]:
     counts = census(model)
     dist = combination_distribution(model)
-    occurrences = mspec_occurrences(model)
+    occurrences = model._mspecs[0]  # pair count per m-specification code, 0 the all-zero one
     events = _triad_events(model)
-    classes = partition_classes()
-    never = (DDistribution.all_undetected(),)
-    # outcome triples of the m-specifications that detect the whole first triad
-    triples = Counter(
-        tuple(spec.value(s) for s in Triad.I.sites)
-        for spec in occurrences
-        if all(spec.value(s) != 0 for s in Triad.I.sites)
-    )
+    families = model.element_families()
+    # outcome sign masks of the m-specifications that detect the whole first triad
+    mask = Triad.I.mask
+    triples = Counter(code & mask for code in occurrences if code >> 9 & mask == mask)
     return [
         ("deterministic", "no", _yes(is_deterministic(model))),
         (
             "starred-class states are never detected",
             "yes",
-            _yes(all(model.family(s) == never for el in E if el.is_starred for s in classes[el])),
+            _yes(all(families[el] == (DDistribution.all_undetected(),) for el in E if el.is_starred)),
         ),
         (
             "three d-distributions per triple-intersection state",
             "yes",
-            _yes(all(len(model.family(s)) == 3 for el in E if not el.is_starred for s in classes[el])),
+            _yes(all(len(families[el]) == 3 for el in E if not el.is_starred)),
         ),
         # discounting the all-undetected d-distribution and m-specification
         ("distinct single-failure d-distributions", "6", str(counts.d_distributions - 1)),
@@ -275,18 +291,18 @@ def _m1_rows(model: Model) -> list[_Row]:
             )
             for labels, expected in _M1_RESTRICTED
         ),
-        ("overall detection, x/y singles", "5/12", _singles(model, "xy")),
-        ("overall detection, z singles", "1/2", _singles(model, "z")),
+        ("overall detection, x/y singles", "5/12", _singles(model, XY_SITES)),
+        ("overall detection, z singles", "1/2", _singles(model, Z_SITES)),
         (
             "mass of each detectable m-specification",
             "1/192",
-            _same(Fraction(n, 128 * 3) for spec, n in occurrences.items() if not spec.is_all_zero),
+            _same_ratio((n for code, n in occurrences.items() if code), 128 * 3),
         ),
         ("m-specifications triple-detecting the first triad", "48", str(sum(triples.values()))),
         (
             "each satisfying outcome triple occurs in 12/48 of them",
             "yes",
-            _yes(len(triples) == 4 and all(n == 12 and a * b * c == Triad.I.required_sign for (a, b, c), n in triples.items())),
+            _yes(set(triples) == set(_satisfying(Triad.I)) and all(n == 12 for n in triples.values())),
         ),
         *_event_rows(events, "12/48"),
         ("distinct combinations", "48", str(len(dist.masses))),
@@ -304,7 +320,7 @@ def _m2_rows(model: Model) -> list[_Row]:
         ("z sites always detected", "yes", _yes(_detecting(ddists, _site_mask(Z_SITES)) == ddists)),
         ("distinct m-specifications", "192", str(counts.m_specifications)),
         ("distinct combinations", "96", str(counts.combinations)),
-        ("pooled occurrence multiplicity of every m-specification", "4", _same(mspec_occurrences(model).values())),
+        ("pooled occurrence multiplicity of every m-specification", "4", _same(model._mspecs[0].values())),
     ]
 
 

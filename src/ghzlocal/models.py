@@ -375,11 +375,15 @@ def detection_probability(
     if restrict is None:
         table = model._contexts
         return Fraction(table[mask][0], table.scale)
-    states = partition_classes()[restrict] if isinstance(restrict, PartitionElement) else (restrict,)
-    families = [model.family(state) for state in states]
+    if not isinstance(restrict, PartitionElement):
+        families = [model.family(restrict)]
+    elif model._families is not None:  # one family for the whole class: its average is the family's
+        families = [model._families[restrict]]
+    else:
+        families = [model.family(state) for state in partition_classes()[restrict]]
     lcm = math.lcm(*{len(family) for family in families})
     hits = sum(len(_detecting(family, mask)) * (lcm // len(family)) for family in families)
-    return Fraction(hits, lcm * len(states))
+    return Fraction(hits, lcm * len(families))
 
 
 def conditional_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
@@ -566,7 +570,12 @@ _TRIAD_SLOTS = {
 
 
 class Combination(_Value):
-    """Hidden-variable point over the six x/y sites: +1, -1, or D (defective)."""
+    """Hidden-variable point over the six x/y sites: +1, -1, or D (defective).
+
+    ``surviving_triads`` is the number of triads whose three sites all carry
+    outcomes (no D); it, the sort key and ``_hash``, the hash of ``(slots,)``,
+    are computed once, at construction.
+    """
 
     _fields = ("slots",)
 
@@ -576,22 +585,23 @@ class Combination(_Value):
         if any(s not in _SLOT_ORDER for s in slots):
             raise ValueError(f"slots must be '+1', '-1' or 'D': {slots!r}")
         object.__setattr__(self, "slots", slots)
-
-    @property
-    def surviving_triads(self) -> int:
-        """Number of triads whose three sites all carry outcomes (no D)."""
-        return sum(
-            1
-            for positions in _TRIAD_SLOTS.values()
-            if all(self.slots[p] != "D" for p in positions)
+        object.__setattr__(
+            self,
+            "surviving_triads",
+            sum(1 for positions in _TRIAD_SLOTS.values() if all(slots[p] != "D" for p in positions)),
         )
+        object.__setattr__(self, "_sort_key", tuple(_SLOT_ORDER[s] for s in slots))
+        object.__setattr__(self, "_hash", hash((slots,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
         return ",".join(self.slots)
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(_SLOT_ORDER[s] for s in self.slots)
+        return self._sort_key
 
 
 def to_combination(mspec: MSpecification) -> Optional[Combination]:
@@ -622,7 +632,7 @@ class CombinationDistribution(_Value):
         return sum(self.masses.values(), self.undetected)
 
     def rows(self) -> list[tuple[Combination, Fraction]]:
-        return sorted(self.masses.items(), key=lambda item: item[0].sort_key())
+        return sorted(self.masses.items(), key=lambda item: item[0]._sort_key)
 
 
 def _slot(detect: int, signs: int, i: int) -> int:

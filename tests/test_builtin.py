@@ -6,12 +6,15 @@ with the built families, and check the full set of stated numbers, so a wrong
 rule cannot survive.
 """
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from ghzlocal import (
+    BUILTIN_SELECTORS,
     XY_SITES,
     DDistribution,
     MeasurementContext,
@@ -19,14 +22,18 @@ from ghzlocal import (
     PartitionElement,
     Triad,
     census,
+    combination_distribution,
     detection_probability,
     m_specification,
+    model_m3,
     mspec_occurrences,
     partition_classes,
     reproduce_section4,
 )
 from ghzlocal import builtin
 from ghzlocal.builtin import builtin_model
+from ghzlocal.serialize import combinations_to_csv, model_to_json, repro_report_to_json
+from test_reproduce_all import DATA, MODEL_SHA256
 
 
 def ctx(*labels: str) -> MeasurementContext:
@@ -250,10 +257,53 @@ def test_reproduction_reports_pass(selector):
 
 
 def test_unknown_selector_raises():
-    with pytest.raises(KeyError):
-        builtin_model("M9")
+    for _ in range(2):  # a failed lookup is not remembered
+        with pytest.raises(KeyError) as raised:
+            builtin_model("M9")
+        assert raised.value.args == ("unknown model selector 'M9'; use M3, M1 or M2",)
     with pytest.raises(KeyError):
         reproduce_section4("M9")
+
+
+def reproduce_all_outputs(selector):
+    """The report, model export and combination CSV that scripts/reproduce_all.py writes."""
+    model = builtin_model(selector)
+    return (
+        json.dumps(repro_report_to_json(reproduce_section4(selector)), indent=2, sort_keys=True) + "\n",
+        json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n",
+        combinations_to_csv(combination_distribution(model)),
+    )
+
+
+def test_shared_models_survive_callers_mutating_what_they_get():
+    """A selector's model is one instance per process while the builders build afresh;
+    what a view hands out is the caller's, so mutating it changes no later output."""
+    assert builtin_model("M3") is builtin_model("M3")
+    assert model_m3() is not model_m3()
+    for selector in BUILTIN_SELECTORS:
+        reproduce_all_outputs(selector)
+        model = builtin_model(selector)
+        families = model.element_families()
+        families[PartitionElement.I0] = (DDistribution.all_detected(),)
+        families.popitem()
+        masses = combination_distribution(model).masses
+        masses[next(iter(masses))] = Fraction(1)
+        masses.popitem()
+        occurrences = mspec_occurrences(model)
+        occurrences.update(occurrences)
+        occurrences.popitem()
+        document = model_to_json(model)
+        for entry in document["states"]:
+            entry["values"].reverse()
+            entry["ddists"].append(entry["ddists"][0])
+            entry["ddists"][0].reverse()
+        document["states"].pop()
+    for selector in BUILTIN_SELECTORS:
+        stem = selector.lower()
+        report, export, csv = reproduce_all_outputs(selector)
+        assert report.encode() == (DATA / f"{stem}_report.json").read_bytes()
+        assert hashlib.sha256(export.encode()).hexdigest() == MODEL_SHA256[f"{stem}_model.json"]
+        assert csv.encode() == (DATA / f"{stem}_combinations.csv").read_bytes()
 
 
 def m3_with_exposed_triple_intersection() -> Model:

@@ -11,14 +11,16 @@ summed from the class outcome histograms; each is built from its 8 families
 (one family object per class) and from a state map of equal but distinct
 families, and again with one state's family swapped, which takes the per-state
 route.  A class-built model holds only its families: its views are checked
-before, and without, its 128 slots being stored.
+before, and without, its 128 slots being stored.  The reproduction report's
+triad events, read from the context table, are checked against one
+``conditional_probability`` call per outcome triple.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ghzlocal import (
@@ -50,6 +52,7 @@ from ghzlocal import (
     verify_ac,
     verify_dm,
 )
+from ghzlocal import builtin
 from ghzlocal.models import (
     AcFailure, DmFailure, _ac_table, _class_outcomes, _site_mask, mspec_occurrences,
 )
@@ -228,6 +231,20 @@ def uniform_models(draw) -> tuple[Model, Model, Model]:
     return by_class, by_state, swapped
 
 
+def check_class_restrictions(model: Model) -> None:
+    """``detection_probability`` restricted to each class against the pairs' weights: a
+    class holds 16 of the 128 states, so its average is 8 times their detected weight."""
+    weights: dict = {}  # (class, detected sites as a bit set) -> weight
+    for state, dd, weight in model.pairs():
+        key = (classify(state), sum(1 << i for i, flag in enumerate(dd.flags) if flag == "D"))
+        weights[key] = weights.get(key, Fraction(0)) + weight
+    for context in enumerate_contexts():
+        mask = sum(1 << site.index for site in context.sites)
+        for element in PartitionElement:
+            expected = 8 * sum(w for (el, detected), w in weights.items() if el is element and detected & mask == mask)
+            assert detection_probability(model, context, restrict=element) == expected
+
+
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models=uniform_models())
 def test_core_matches_fraction_loops_on_uniform_models(models):
@@ -235,10 +252,43 @@ def test_core_matches_fraction_loops_on_uniform_models(models):
     assert by_class == by_state
     for model in models:
         check_against_reference(model)
+        check_class_restrictions(model)
     # uniformity is read from the slots: by identity, by equality, and lost by one state
     assert by_class._contexts.families is not None
     assert by_state._contexts.families == by_class._contexts.families
     assert swapped._contexts.families is None
+
+
+def triad_events_reference(model: Model) -> dict:
+    """``builtin._triad_events`` from one ``conditional_probability`` call per outcome triple."""
+    events = {}
+    for triad in Triad:
+        mass, exact = Fraction(0), True
+        for assign in outcome_assignments(triad.context):
+            p = conditional_probability(model, assign)
+            a, b, c = assign.outcomes
+            if a * b * c == triad.required_sign:
+                mass += p
+                exact = exact and p == Fraction(1, 4)
+            else:
+                exact = exact and p == 0
+        events[triad] = (mass, exact)
+    return events
+
+
+@pytest.mark.parametrize("fixture", ["m3", "m1", "m2"])
+def test_triad_events_match_conditional_probabilities_on_fixed_models(fixture, request):
+    model = request.getfixturevalue(fixture)
+    assert builtin._triad_events(model) == triad_events_reference(model)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(models=uniform_models())
+def test_triad_events_match_conditional_probabilities_on_uniform_models(models):
+    # a class keeps its family in 15 of its 16 states, so a swapped model detects what by_class does
+    assume(all(detection_probability(models[0], triad.context) for triad in Triad))
+    for model in models:
+        assert builtin._triad_events(model) == triad_events_reference(model)
 
 
 def test_class_outcomes_count_the_class_states():
@@ -321,8 +371,13 @@ def test_class_views_list_dm_failures_in_state_order():
 
 
 def test_class_built_models_derive_their_slots_only_on_demand():
-    """Searching, building a built-in and every view below leave a class-built model's
-    128 slots unbuilt; a per-state reader then derives them, equal to the constructor's."""
+    """Searching, building a built-in, its report rows and every view below leave a
+    class-built model's 128 slots unbuilt; a per-state reader then derives them, equal
+    to the constructor's."""
+    for name, build in (("M3", model_m3), ("M1", model_m1), ("M2", model_m2)):
+        model = build()
+        builtin._ROWS[name](model)
+        assert "assignment" not in model.__dict__, name
     searched = search_models(SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=6))
     views = (
         verify_ac, verify_dm, census, combination_distribution, mspec_occurrences,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ghzlocal import (
     SITES,
+    XY_SITES,
     Combination,
     DDistribution,
     MeasurementContext,
@@ -259,6 +260,14 @@ def test_surviving_triad_counts():
     assert Combination(("D", "+1", "D", "+1", "D", "+1")).surviving_triads == 0
     assert Combination(("D", "+1", "+1", "+1", "+1", "+1")).surviving_triads == 2
     assert Combination(("+1",) * 6).surviving_triads == 4
+    # all 3^6 combinations: each triad's slots are its sites' positions among the x/y sites
+    positions = [[XY_SITES.index(site) for site in triad.sites] for triad in Triad]
+    order = {"+1": 0, "-1": 1, "D": 2}
+    for slots in itertools.product(("+1", "-1", "D"), repeat=6):
+        combo = Combination(slots)
+        assert combo.surviving_triads == sum(all(slots[p] != "D" for p in triad) for triad in positions), slots
+        assert combo.sort_key() == tuple(order[slot] for slot in slots), slots
+        assert hash(combo) == hash((slots,)), slots
 
 
 def test_combination_distribution_masses(m3, m1, m2):
