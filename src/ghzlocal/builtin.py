@@ -35,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from . import BUILTIN_SELECTORS  # noqa: F401  (re-exported)
 from .models import (
@@ -173,22 +173,20 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _same(values: Iterable[object]) -> str:
-    """The one value shared by all ``values``, as a string, or "mixed"."""
+def _same(values: Iterable[object], scale: Optional[int] = None) -> str:
+    """The one value shared by all ``values``, as a string, or "mixed"; with a ``scale``,
+    the values are integer numerators and the string is that of ``value / scale``."""
     distinct = set(values)
-    return str(distinct.pop()) if len(distinct) == 1 else "mixed"
-
-
-def _same_ratio(numerators: Iterable[int], scale: int) -> str:
-    """The one fraction ``n / scale`` shared by all ``numerators``, as a string, or "mixed"."""
-    distinct = set(numerators)
-    return str(Fraction(distinct.pop(), scale)) if len(distinct) == 1 else "mixed"
+    if len(distinct) != 1:
+        return "mixed"
+    value = distinct.pop()
+    return str(value if scale is None else Fraction(value, scale))
 
 
 def _singles(model: Model, sites: Iterable[Site]) -> str:
     """The detection probability shared by every single site given."""
     table = model._contexts
-    return _same_ratio((table[1 << s.index][0] for s in sites), table.scale)
+    return _same((table[1 << s.index][0] for s in sites), table.scale)
 
 
 def _satisfying(triad: Triad) -> list[int]:
@@ -262,7 +260,7 @@ def _m3_rows(model: Model) -> list[_Row]:
 def _m1_rows(model: Model) -> list[_Row]:
     counts = census(model)
     dist = combination_distribution(model)
-    occurrences = model._mspecs[0]  # pair count per m-specification code, 0 the all-zero one
+    occurrences, weights = model._mspecs  # per m-specification code, 0 the all-zero one
     events = _triad_events(model)
     families = model.element_families()
     # outcome sign masks of the m-specifications that detect the whole first triad
@@ -296,7 +294,7 @@ def _m1_rows(model: Model) -> list[_Row]:
         (
             "mass of each detectable m-specification",
             "1/192",
-            _same_ratio((n for code, n in occurrences.items() if code), 128 * 3),
+            _same((w for code, w in weights.items() if code), model._contexts.scale),
         ),
         ("m-specifications triple-detecting the first triad", "48", str(sum(triples.values()))),
         (

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, TextIO, Union
 
 from . import BUILTIN_SELECTORS
-from .state_space import _Value, enumerate_ghz_microstates, partition_classes
+from .state_space import XY_SITES, _Value, _state_classes, partition_classes
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -93,16 +93,15 @@ def _ascii_int(text: str) -> int:
 
 
 def cmd_states(args: argparse.Namespace) -> CommandOutcome:
-    states = enumerate_ghz_microstates()
+    states = _state_classes()
     classes = partition_classes()
-    element = {s: el.value for el, members in classes.items() for s in members}
     if args.format == "json":
         from .serialize import SCHEMA_VERSION, microstate_to_json
         document = {
             "schema_version": SCHEMA_VERSION,
             "count": len(states),
             "states": [
-                {"values": microstate_to_json(s), "element": element[s]} for s in states
+                {"values": microstate_to_json(s), "element": el.value} for s, el in states
             ],
         }
         return CommandOutcome(EXIT_OK, _dump(document))
@@ -112,7 +111,7 @@ def cmd_states(args: argparse.Namespace) -> CommandOutcome:
             lines.append(f"{el.value} ({len(members)} states)")
             lines.extend(f"  {s.label}" for s in members)
     else:
-        lines.extend(f"{i:4d}  {s.label}  {element[s]}" for i, s in enumerate(states, 1))
+        lines.extend(f"{i:4d}  {s.label}  {el.value}" for i, (s, el) in enumerate(states, 1))
     # the classes are equal in size (tests/test_acceptance.py, criterion 1)
     lines.append(
         f"{len(states)} states in {len(classes)} partition elements"
@@ -145,13 +144,13 @@ def _parse_expected_counts(text: str) -> ExpectedCounts:
 def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     from .models import verify_ac, verify_dm
     model = _load_model(args.model)
-    run_all = not (args.ac or args.dm or args.counts)
+    run_all = not (args.ac or args.dm or args.counts is not None)
     reports = []
     if args.ac or run_all:
         reports.append(verify_ac(model))
     if args.dm or run_all:
         reports.append(verify_dm(model))
-    if args.counts:
+    if args.counts is not None:
         from .search import verify_counts
         reports.append(verify_counts(model, _parse_expected_counts(args.counts)))
     ok = all(r.passed for r in reports)
@@ -248,7 +247,7 @@ def cmd_combinations(args: argparse.Namespace) -> CommandOutcome:
         return CommandOutcome(EXIT_OK, _dump(combinations_to_json(model.name, dist)))
     if args.format == "csv":
         return CommandOutcome(EXIT_OK, combinations_to_csv(dist).rstrip("\n"))
-    lines = [f"{'x1':<3} {'y1':<3} {'x2':<3} {'y2':<3} {'x3':<3} {'y3':<3} {'probability':<12} triads"]
+    lines = [" ".join(f"{s.label:<3}" for s in XY_SITES) + f" {'probability':<12} triads"]
     for combo, mass in dist.rows():
         slots = " ".join(f"{s:<3}" for s in combo.slots)
         lines.append(f"{slots} {str(mass):<12} {combo.surviving_triads}")
@@ -393,16 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CSV_COMMANDS = {"combinations"}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+    if args.format == "csv" and args.command != "combinations":
         print(f"error: --format csv is not supported for {args.command}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -414,17 +410,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if outcome.payload:  # an iterable of lines is always written
+        to_stdout = args.output is None  # an empty path is a path, and fails to open
         try:
-            if args.output:
+            if to_stdout:
+                _write(outcome.payload, sys.stdout)
+            else:
                 with open(args.output, "w", encoding="utf-8") as handle:
                     _write(outcome.payload, handle)
-            else:
-                _write(outcome.payload, sys.stdout)
         except OSError as exc:
-            if not args.output:  # point stdout at /dev/null so that the flush at exit cannot fail again
+            if to_stdout:  # point stdout at /dev/null so that the flush at exit cannot fail again
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if args.output or not isinstance(exc, BrokenPipeError):  # a reader may stop early: `search ... | head`
-                where = repr(args.output) if args.output else "to stdout"
+            if not to_stdout or not isinstance(exc, BrokenPipeError):  # a reader may stop early: `search ... | head`
+                where = "to stdout" if to_stdout else repr(args.output)
                 print(f"error: cannot write {where}: {exc}", file=sys.stderr)
             return EXIT_IO
     return outcome.exit_code

@@ -47,8 +47,6 @@ from .state_space import (
     Site,
     Triad,
     _Value,
-    _ghz_microstates,
-    _state_class_positions,
     _state_classes,
     enumerate_contexts,
     enumerate_ghz_microstates,
@@ -223,12 +221,11 @@ class Model(_Value):
         return tuple(self._slots())
 
     def _slots(self) -> Iterable[tuple[MicroState, tuple[DDistribution, ...]]]:
-        """The slots, read from the families of a uniform model without storing them, in the
-        order that tests/test_state_space.py::test_sign_mask_tables_match_classify pins."""
-        if self._families is None:
+        """The slots, read from the families of a uniform model without storing them."""
+        families = self._families
+        if families is None:
             return self.assignment
-        families = list(self._families.values())
-        return zip(_ghz_microstates().values(), map(families.__getitem__, _state_class_positions()))
+        return ((state, families[element]) for state, element in _state_classes())
 
     def family(self, state: MicroState) -> tuple[DDistribution, ...]:
         try:
@@ -242,21 +239,19 @@ class Model(_Value):
 
     @cached_property
     def _families(self) -> Optional[dict[PartitionElement, tuple[DDistribution, ...]]]:
-        """The uniformity probe: the 8 class families, or None if the states of a class differ.
-        Set by the class build, else read once from the slots (identity or equality)."""
-        families = {}
-        for element, states in partition_classes().items():
-            family = self._family_map[states[0]]
-            if any(self._family_map[state] != family for state in states[1:]):
+        """The uniformity probe: the 8 class families in PartitionElement order, or None if the
+        states of a class differ.  Set by the class build, else read once from the slots, each
+        compared with its class's first family (identity or equality)."""
+        first: dict[PartitionElement, tuple[DDistribution, ...]] = {}
+        for (_, family), (_, element) in zip(self.assignment, _state_classes()):
+            if first.setdefault(element, family) != family:
                 return None
-            families[element] = family
-        return families
+        return {element: first[element] for element in PartitionElement}
 
     @cached_property
     def _lcm(self) -> int:
         """The lcm L of the family sizes: every weight and table entry is over ``128 * L``."""
-        families = self._family_map.values() if self._families is None else self._families.values()
-        return math.lcm(*{len(family) for family in families})
+        return math.lcm(*{len(family) for _, family in self._slots()})
 
     @cached_property
     def _mspecs(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -680,11 +675,9 @@ def census(model: Model) -> CensusRecord:
     return CensusRecord(len({code >> 9 for code in mspecs}), len(mspecs), len(combos))
 
 
-@lru_cache(maxsize=3**9)  # one entry per m-specification
-def _mspecification(detect: int, signs: int) -> MSpecification:
-    return MSpecification(tuple(_slot(detect, signs, i) for i in range(9)))
-
-
 def mspec_occurrences(model: Model) -> Counter[MSpecification]:
     """How many (state, d-distribution) pairs produce each m-specification."""
-    return Counter({_mspecification(*divmod(code, 512)): n for code, n in model._mspecs[0].items()})
+    return Counter({
+        MSpecification(tuple(_slot(*divmod(code, 512), i) for i in range(9))): n
+        for code, n in model._mspecs[0].items()
+    })

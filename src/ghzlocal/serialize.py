@@ -22,7 +22,7 @@ from .models import (
     VerificationReport,
     _shared_ddistribution,
 )
-from .state_space import MeasurementContext, MicroState, Site, _ghz_microstates, _is_int
+from .state_space import XY_SITES, MeasurementContext, MicroState, Site, _ghz_microstates, _is_int
 
 if TYPE_CHECKING:
     from .builtin import ReproductionReport
@@ -244,8 +244,6 @@ def repro_report_to_json(report: ReproductionReport) -> dict[str, Any]:
 
 # --------------------------------------------------------------------------- combinations
 
-_XY_HEADER = ["x1", "y1", "x2", "y2", "x3", "y3"]
-
 
 def combinations_to_json(model_name: str, dist: CombinationDistribution) -> dict[str, Any]:
     return {
@@ -268,7 +266,7 @@ def combinations_to_csv(dist: CombinationDistribution) -> str:
     written with U in every slot column."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_XY_HEADER + ["probability", "surviving_triads"])
+    writer.writerow([s.label for s in XY_SITES] + ["probability", "surviving_triads"])
     for combo, mass in dist.rows():
         writer.writerow(list(combo.slots) + [fraction_to_str(mass), combo.surviving_triads])
     if dist.undetected:
@@ -279,27 +277,11 @@ def combinations_to_csv(dist: CombinationDistribution) -> str:
 # --------------------------------------------------------------------------- search specs
 
 
-_SEARCH_SPEC_KEYS = {
-    "schema_version",
-    "failure_count",
-    "z_always_detected",
-    "per_element_uniformity",
-    "ddists_per_state",
-    "star_elements_all_undetected",
-    "limit",
-}
-
-
 def search_spec_to_json(spec: SearchSpec) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "failure_count": spec.failure_count,
-        "z_always_detected": spec.z_always_detected,
-        "per_element_uniformity": spec.per_element_uniformity,
-        "ddists_per_state": list(spec.ddists_per_state) if spec.ddists_per_state else None,
-        "star_elements_all_undetected": spec.star_elements_all_undetected,
-        "limit": spec.limit,
-    }
+    """``schema_version``, then every ``SearchSpec`` field in its order; a range as a list."""
+    document = {"schema_version": SCHEMA_VERSION, **dict(zip(spec._fields, spec._astuple()))}
+    document["ddists_per_state"] = list(spec.ddists_per_state) if spec.ddists_per_state else None
+    return document
 
 
 def _optional_int(data: dict[str, Any], key: str) -> Optional[int]:
@@ -321,7 +303,7 @@ def search_spec_from_json(data: Any) -> SearchSpec:
     if not isinstance(data, dict):
         raise FormatError("search spec must be a JSON object")
     _check_schema_version(data)
-    unknown = set(data) - _SEARCH_SPEC_KEYS
+    unknown = set(data) - {"schema_version", *SearchSpec._fields}
     if unknown:
         raise FormatError(f"unknown search spec keys: {sorted(unknown)}")
     ddists = data.get("ddists_per_state")

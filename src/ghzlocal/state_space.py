@@ -311,12 +311,6 @@ def _state_classes() -> tuple[tuple[MicroState, PartitionElement], ...]:
 
 
 @lru_cache(maxsize=1)
-def _state_class_positions() -> tuple[int, ...]:
-    """Each GHZ state's class, in canonical state order, as its position in PartitionElement."""
-    return tuple(map(list(PartitionElement).index, (el for _, el in _state_classes())))
-
-
-@lru_cache(maxsize=1)
 def partition_classes() -> dict[PartitionElement, tuple[MicroState, ...]]:
     """The 8 partition classes, each a canonical-order tuple of 16 states."""
     classes: dict[PartitionElement, list[MicroState]] = {el: [] for el in PartitionElement}

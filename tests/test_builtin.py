@@ -313,6 +313,15 @@ def m3_with_exposed_triple_intersection() -> Model:
     return Model.from_element_families("M3-exposed", families)
 
 
+def m1_with_two_member_families() -> Model:
+    """M1 with each triple-class family cut to its first two d-distributions: each detectable
+    m-specification still comes from two pairs, now of weight 1/256 each."""
+    families = builtin_model("M1").element_families()
+    cut = {el: family if el.is_starred else family[:2] for el, family in families.items()}
+    return Model.from_element_families("M1-cut", cut)
+
+
+FED = {"exposed": m3_with_exposed_triple_intersection, "cut": m1_with_two_member_families}
 EXPOSED_FAILS = {"adequacy condition holds": "fail", "detection-masking condition holds": "fail"}
 
 
@@ -328,10 +337,11 @@ EXPOSED_FAILS = {"adequacy condition holds": "fail", "detection-masking conditio
         ("M2", "M3", {"every d-distribution has exactly two undetected sites": "no", "distinct combinations": "48"}),
         ("M2", "M1", {"z sites always detected": "no", "distinct m-specifications": "97"}),
         ("M2", "exposed", EXPOSED_FAILS),
+        ("M1", "cut", {"mass of each detectable m-specification": "1/128"}),
     ],
 )
 def test_report_rows_are_computed_from_the_model(monkeypatch, selector, fed, named_rows):
-    model = m3_with_exposed_triple_intersection() if fed == "exposed" else builtin_model(fed)
+    model = FED[fed]() if fed in FED else builtin_model(fed)
     monkeypatch.setattr(builtin, "builtin_model", lambda _selector: model)
     report = reproduce_section4(selector)
     assert not report.passed

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghzlocal import cli
+from ghzlocal import classify, cli, enumerate_ghz_microstates
 from ghzlocal.cli import main
 from ghzlocal.serialize import model_to_json
 
@@ -30,7 +30,12 @@ def run(capsys, *args):
 def test_states_table(capsys):
     code, out, _ = run(capsys, "states")
     assert code == 0
-    assert "128 states in 8 partition elements of 16 states each" in out
+    lines = out.splitlines()
+    assert lines[128:] == ["128 states in 8 partition elements of 16 states each"]
+    # one row per state, in canonical order, with the class classify gives it
+    assert [line.split() for line in lines[:128]] == [
+        [str(i), s.label, classify(s).value] for i, s in enumerate(enumerate_ghz_microstates(), 1)
+    ]
 
 
 def test_states_partition_groups(capsys):
@@ -49,6 +54,9 @@ def test_states_json(capsys):
     assert {s["element"] for s in document["states"]} == {
         "I0", "II0", "III0", "IV0", "I&II&III", "I&II&IV", "I&III&IV", "II&III&IV"
     }
+    assert [(s["values"], s["element"]) for s in document["states"]] == [
+        (list(s.values), classify(s).value) for s in enumerate_ghz_microstates()
+    ]
 
 
 def test_states_unknown_flag_is_usage_error(capsys):
@@ -150,8 +158,9 @@ def test_verify_counts_bad_value(capsys):
     # only ASCII digits: int() would take the '_', the spaces, the sign and '٩٦'
     # and no more digits than int() converts: a traceback is not a usage error
     long = "9" * 5000
+    # an empty value is a bad value, not an absent one
     for text in ("9_6,4_8", " 96, 48", "+96,48", "96,-48", "\u0669\u0666,48", "96,48,", "96,,48",
-                 f"{long},1", f"96,48,{long}"):
+                 f"{long},1", f"96,48,{long}", ""):
         code, out, err = run(capsys, "verify", "M3", "--counts", text)
         assert (code, out) == (2, "") and err.startswith("error: --counts"), text
 
@@ -392,8 +401,11 @@ def test_output_flag_writes_file(capsys, tmp_path):
 
 
 def test_output_flag_io_error(capsys, tmp_path):
-    code, _, err = run(capsys, "states", "--output", str(tmp_path / "nodir" / "x.txt"))
-    assert code == 3
+    # an empty path is a path that cannot be written, not a request for stdout
+    for target in (str(tmp_path / "nodir" / "x.txt"), ""):
+        code, out, err = run(capsys, "states", "--output", target)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target!r}: ")
 
 
 # --------------------------------------------------------------------------- argv fuzz

@@ -56,6 +56,7 @@ from ghzlocal import builtin
 from ghzlocal.models import (
     AcFailure, DmFailure, _ac_table, _class_outcomes, _site_mask, mspec_occurrences,
 )
+from ghzlocal.serialize import model_from_json, model_to_json
 
 STATES = enumerate_ghz_microstates()
 ALL_DETECTED = (1 << 9) - 1
@@ -392,3 +393,23 @@ def test_class_built_models_derive_their_slots_only_on_demand():
             assert "assignment" not in model.__dict__, view
         assert model == Model.from_state_map(model.name, dict(model.assignment))
         assert "assignment" in model.__dict__
+
+
+def test_document_models_probe_uniformity_without_a_state_map():
+    """A document model's probe, lcm and views walk its slots beside ``_state_classes()``:
+    only ``family()`` builds the state -> family dict.  The probe's families come in
+    PartitionElement order, not in the order the classes first occur among the states."""
+    uniform = model_from_json(model_to_json(model_m2()))
+    document = model_to_json(model_m3())
+    first, last = document["states"][0], document["states"][-1]  # an I&II&III and an IV0 state
+    first["ddists"], last["ddists"] = last["ddists"], first["ddists"]
+    swapped = model_from_json(document)
+    for model in (uniform, swapped):
+        for view in (verify_ac, verify_dm, census, combination_distribution):
+            view(model)
+        assert "_family_map" not in model.__dict__, model.name
+    assert list(uniform.element_families()) == list(PartitionElement)
+    assert uniform.element_families() == model_m2().element_families()
+    assert swapped._families is None
+    swapped.family(STATES[0])
+    assert "_family_map" in swapped.__dict__

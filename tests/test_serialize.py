@@ -280,6 +280,21 @@ def test_search_spec_round_trip():
     assert search_spec_from_json(
         {"failure_count": 3, "ddists_per_state": 1, "z_always_detected": False, "limit": 0}
     ) == SearchSpec(failure_count=3, ddists_per_state=(1, 1), z_always_detected=False, limit=0)
+    # every field set: schema_version first, then the fields in SearchSpec order, a range as a list
+    full = SearchSpec(
+        failure_count=2, z_always_detected=False, per_element_uniformity=False,
+        ddists_per_state=(1, 3), star_elements_all_undetected=True, limit=7,
+    )
+    assert list(search_spec_to_json(full).items()) == [
+        ("schema_version", 1),
+        ("failure_count", 2),
+        ("z_always_detected", False),
+        ("per_element_uniformity", False),
+        ("ddists_per_state", [1, 3]),
+        ("star_elements_all_undetected", True),
+        ("limit", 7),
+    ]
+    assert search_spec_from_json(search_spec_to_json(full)) == full
 
 
 def test_search_spec_rejects_bad_documents():
