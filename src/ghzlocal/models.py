@@ -9,9 +9,9 @@ A model built from its 8 class families holds those families and its name; the
 128 per-state slots are derived only when a per-state reader asks for them.  Every
 model carries one uniformity probe, its 8 class families or None.  On a uniform
 model the context table reads the families and process-wide per-(class, context)
-outcome counts, so its cost is set by the families, not by the 128 states;
-detection masking and the m-specification histogram walk the slots, derived
-from the families without being stored.
+outcome counts, and detection masking checks each class family once, so their cost
+is set by the families, not by the 128 states; the m-specification histogram walks
+the slots, derived from the families without being stored.
 
 Bulk queries read integer views of the model, cached on the instance.  A pair
 (state, d-distribution) is the state's 9-bit sign mask (bit i set where the value
@@ -173,8 +173,9 @@ class Model(_Value):
 
     The constructor takes the 128 (state, family) slots of a document or of
     ``from_state_map``; ``from_element_families`` takes and holds the 8 class
-    families, and derives the slots on first read.  Both store each family by
-    the one rule of ``_canonical_family``, and equality and hash are those of
+    families, and derives the slots on first read; the search stores the families it
+    has canonicalised through the same ``_stored`` step.  All store each family by the
+    one rule of ``_canonical_family``, and equality and hash are those of
     ``(name, assignment)``.  The state prior is uniform 1/128 and each family is
     uniform 1/len(family).
     """
@@ -209,9 +210,15 @@ class Model(_Value):
         classes = partition_classes()
         if families.keys() != classes.keys():
             raise ValueError("families must cover all 8 partition elements")
-        model = cls.__new__(cls)  # no constructor: the slots are derived on first read
+        return cls._stored(name, {el: _canonical_family(families[el], el) for el in classes})
+
+    @classmethod
+    def _stored(cls, name: str, families: dict[PartitionElement, tuple[DDistribution, ...]]) -> "Model":
+        """A model holding its name and 8 canonical families, in PartitionElement order, as
+        given: no constructor, so the slots are derived on first read."""
+        model = cls.__new__(cls)
         object.__setattr__(model, "name", name)
-        object.__setattr__(model, "_families", {el: _canonical_family(families[el], el) for el in classes})
+        object.__setattr__(model, "_families", families)
         return model
 
     @cached_property
@@ -537,13 +544,24 @@ def _ac_expected(mask: int, key: int) -> tuple[OutcomeAssignment, Fraction]:
 
 def verify_dm(model: Model) -> VerificationReport:
     """Detection masking: a state violating a triad constraint must leave at
-    least one site of that triad undetected, in every d-distribution."""
-    failures: list[Failure] = []
-    for (state, family), (_, element) in zip(model._slots(), _state_classes()):
-        for triad in element.violated:
-            for ddist in _detecting(family, triad.mask):
-                failures.append(DmFailure(state, ddist, triad))
-    return VerificationReport("dm", tuple(failures))
+    least one site of that triad undetected, in every d-distribution.
+
+    A uniform model checks each class family once and lists a failing class's failures
+    for each of its states, so failures come in state order on either route."""
+    families = model._families
+    if families is None:
+        found = [_dm_hits(element, family) for (_, family), (_, element) in zip(model.assignment, _state_classes())]
+    else:
+        by_class = {element: _dm_hits(element, family) for element, family in families.items()}
+        found = [by_class[element] for _, element in _state_classes()] if any(by_class.values()) else []
+    return VerificationReport("dm", tuple(
+        DmFailure(state, ddist, triad) for (state, _), hits in zip(_state_classes(), found) for triad, ddist in hits
+    ))
+
+
+def _dm_hits(element: PartitionElement, family: tuple[DDistribution, ...]) -> list[tuple[Triad, DDistribution]]:
+    """(violated triad, d-distribution detecting it) pairs, in triad order, then family order."""
+    return [(triad, ddist) for triad in element.violated for ddist in _detecting(family, triad.mask)]
 
 
 def is_deterministic(model: Model) -> bool:

@@ -11,12 +11,14 @@ holds by construction, and adequacy (AC) follows from a lemma:
 All states of E detect C with one weight w_E(C), which DM sets to 0 on E's
 violated triads, so P(o | C detected) = sum_E w_E(C)*16*qm(o) / sum_E w_E(C)*16
 = qm(o).  The search is therefore the plain product of the per-class family
-lists, each drawn from one candidate list per class per search;
-``test_class_counts_match_qm_off_violated_triads`` in tests/test_search.py
-guards the lemma.  A mask hits a triad when its site bits meet the triad's;
-candidates are ordered by how redundantly they cover the violated triads (ties
-broken by site labels), so maximal-coverage models stream first and bounded
-prefixes are meaningful; identical specs always produce identical streams.
+lists; ``test_class_counts_match_qm_off_violated_triads`` in tests/test_search.py
+guards the lemma.  Each search walks the pool's site sets once, as 9-bit masks in
+site-label order, each with its d-distribution, and ranks them per class: a mask
+hits a triad when its bits meet the triad's, and candidates are ordered by how
+redundantly they cover the violated triads (ties kept in label order), so
+maximal-coverage models stream first and bounded prefixes are meaningful.  Each
+family is canonicalised once, where the product generates it; identical specs
+always produce identical streams.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .models import (
     DDistribution,
     Model,
     VerificationReport,
+    _canonical_family,
     census,
 )
 from .state_space import SITES, XY_SITES, PartitionElement, Site, _is_int, _Value
@@ -77,6 +80,8 @@ class SearchSpec(_Value):
             raise UnboundedSearchError(
                 "search spec is unbounded: failure_count must be set"
             )
+        if not _is_int(self.failure_count):
+            raise ValueError(f"failure_count must be an integer: {self.failure_count!r}")
         if not 0 <= self.failure_count <= 9:
             raise ValueError(f"failure_count out of range: {self.failure_count}")
         if not self.per_element_uniformity:
@@ -88,8 +93,39 @@ class SearchSpec(_Value):
             valid = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))
             if not valid or not 1 <= pair[0] <= pair[1]:
                 raise ValueError(f"bad ddists_per_state range: {pair}")
-        if self.limit is not None and not 0 <= self.limit <= sys.maxsize:
-            raise ValueError(f"bad limit: {self.limit}")
+        if self.limit is not None and not (_is_int(self.limit) and 0 <= self.limit <= sys.maxsize):
+            raise ValueError(f"bad limit: {self.limit!r}")
+
+
+_LABELS = tuple(s.label for s in SITES)  # by site index: the masks' tie-break keys
+
+
+def _masks(spec: SearchSpec) -> dict[int, DDistribution]:
+    """Every set of ``failure_count`` pool sites as a 9-bit int, bit i set for site i
+    undetected, with its d-distribution, in order of the site labels: one walk per search."""
+    pool = XY_SITES if spec.z_always_detected else SITES
+    keyed = sorted(
+        (tuple(_LABELS[s.index] for s in sites), sum(1 << s.index for s in sites), sites)
+        for sites in itertools.combinations(pool, spec.failure_count or 0)
+    )
+    return {bits: DDistribution.with_undetected(sites) for _, bits, sites in keyed}
+
+
+def _ranked(element: PartitionElement, masks: dict[int, DDistribution]) -> list[DDistribution]:
+    """The d-distributions of the masks that hit each triad the class violates, by
+    descending coverage of those triads; the sort is stable, so ties keep label order."""
+    violated = [t.mask for t in element.violated]
+    coverage = {}
+    for bits in masks:
+        total = 0
+        for triad in violated:
+            hits = (bits & triad).bit_count()
+            if not hits:
+                break
+            total -= hits
+        else:
+            coverage[bits] = total
+    return [masks[bits] for bits in sorted(coverage, key=coverage.__getitem__)]
 
 
 def feasible_masks(element: PartitionElement, spec: SearchSpec) -> list[tuple[Site, ...]]:
@@ -98,43 +134,37 @@ def feasible_masks(element: PartitionElement, spec: SearchSpec) -> list[tuple[Si
     Exactly ``failure_count`` sites, each violated triad hit at least once;
     ordered by descending violated-triad coverage, then by site labels.
     """
-    pool = XY_SITES if spec.z_always_detected else SITES
-    violated = [t.mask for t in element.violated]
-    ranked = []
-    for mask in itertools.combinations(pool, spec.failure_count or 0):
-        bits = sum(1 << s.index for s in mask)
-        hits = [(bits & t).bit_count() for t in violated]
-        if all(hits):
-            ranked.append((-sum(hits), tuple(s.label for s in mask), mask))
-    ranked.sort()
-    return [mask for _, _, mask in ranked]
+    return [ddist.undetected_sites for ddist in _ranked(element, _masks(spec))]
 
 
-def _candidates(element: PartitionElement, spec: SearchSpec) -> tuple[list[DDistribution], range]:
-    """The class's candidate d-distributions and its range of family sizes;
-    a starred class under the escape has the one all-undetected candidate."""
+def _candidates(
+    element: PartitionElement, spec: SearchSpec, masks: dict[int, DDistribution]
+) -> tuple[list[DDistribution], range]:
+    """The class's candidates, ranked from the search's one walk, and its range of family
+    sizes; a starred class under the escape has the one all-undetected candidate."""
     if spec.star_elements_all_undetected and element.is_starred:
         return [DDistribution.all_undetected()], range(1, 2)
     # a list: held as tuples, the candidates raised a long search loop's peak RSS
-    ddists = [DDistribution.with_undetected(m) for m in feasible_masks(element, spec)]
+    ddists = _ranked(element, masks)
     lo, hi = spec.ddists_per_state or (1, len(ddists))
     return ddists, range(lo, min(hi, len(ddists)) + 1)
 
 
 def _products(
-    classes: list[tuple[list[DDistribution], range]]
+    classes: list[tuple[PartitionElement, list[DDistribution], range]],
+    prefix: tuple[tuple[DDistribution, ...], ...] = (),
 ) -> Iterator[tuple[tuple[DDistribution, ...], ...]]:
-    """Lazy Cartesian product of the classes' families, first class outermost;
-    a class's families (size-major, then combinations order) are regenerated
-    per prefix from its one ``_candidates`` list, never materialised."""
-    if not classes:
-        yield ()
-        return
-    (ddists, sizes), rest = classes[0], classes[1:]
+    """Lazy Cartesian product of the classes' canonical families after ``prefix``, first class
+    outermost; a class's families (size-major, then combinations order) are regenerated and
+    canonicalised per prefix from its one ``_candidates`` list, never materialised."""
+    (element, ddists, sizes), rest = classes[0], classes[1:]
     for size in sizes:
         for family in itertools.combinations(ddists, size):
-            for tail in _products(rest):
-                yield (family,) + tail
+            families = prefix + (_canonical_family(family, element),)
+            if rest:
+                yield from _products(rest, families)
+            else:
+                yield families
 
 
 def search_models(spec: SearchSpec) -> Iterator[Model]:
@@ -146,14 +176,15 @@ def search_models(spec: SearchSpec) -> Iterator[Model]:
     """
     spec.validate()
     elements = list(PartitionElement)
-    classes = [_candidates(element, spec) for element in elements]
+    masks = _masks(spec)
+    classes = [(element, *_candidates(element, spec, masks)) for element in elements]
     # Probe feasibility up front so an unsatisfiable class cannot hide behind
     # a combinatorially large prefix of satisfiable ones.
-    if not all(sizes for _, sizes in classes):
+    if not all(sizes for _, _, sizes in classes):
         return
     products = itertools.islice(_products(classes), spec.limit)
     for n, families in enumerate(products, start=1):
-        yield Model.from_element_families(f"model-{n:04d}", dict(zip(elements, families)))
+        yield Model._stored(f"model-{n:04d}", dict(zip(elements, families)))
 
 
 class ExpectedCounts(_Value):

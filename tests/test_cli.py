@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output schemas, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -355,6 +356,47 @@ def test_search_limit_flag_overrides(capsys, tmp_path):
         huge = write_spec(tmp_path, "huge.json", failure_count=3, ddists_per_state=1, limit=limit)
         code, out, err = run(capsys, "search", huge)
         assert (code, out) == (2, "") and "bad limit" in err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# sha256 of `search <profile> --limit 200` as a table and as JSON lines, pinned from the
+# streams these profiles gave before the search ranked masks by bit arithmetic
+SEARCH_SHA256 = {
+    "fc3_deterministic": (
+        {"failure_count": 3, "ddists_per_state": 1},
+        "4ae6a5a57158f45c473eb31a46f1f1420e6a354a4d45a59ba932778a390e67e6",
+        "a4f5a5291515f387ec5804162945a5e4993c57bae6c91994873683abe37cb016",
+    ),
+    "fc2_families_1_2": (
+        {"failure_count": 2, "ddists_per_state": [1, 2]},
+        "7fa3129c6848173ae7091d4796a8d26e67e706f21dca50072e86c2285a294bde",
+        "59569c9ea627e53afa58e85deb885e7000308769a6ac6287e711954f8ee99cfb",
+    ),
+    "fc1_starred_undetected": (
+        {"failure_count": 1, "star_elements_all_undetected": True},
+        "03f013ddabd67d37d0b6222ca1b0ae86d3579b74aeb0c7c856ff2e5ffb830d04",
+        "c2b51984a04dcfb3613b91ece8805d983515966aedf713a211f75be3b9e8f234",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile", SEARCH_SHA256)
+def test_search_output_is_pinned(capsys, tmp_path, profile):
+    fields, table_sha, json_sha = SEARCH_SHA256[profile]
+    spec = write_spec(tmp_path, "spec.json", **fields)
+    for fmt, want in (("table", table_sha), ("json", json_sha)):
+        code, out, _ = run(capsys, "search", spec, "--limit", "200", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+def test_search_output_matches_the_files_ci_compares(capsys, tmp_path):
+    spec = write_spec(tmp_path, "search_spec.json", failure_count=3, ddists_per_state=1)
+    for fmt, name in (("table", "search_fc3_limit3.txt"), ("json", "search_fc3_limit3.jsonl")):
+        code, out, _ = run(capsys, "search", spec, "--limit", "3", "--format", fmt)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes(), name
 
 
 # --------------------------------------------------------------------------- reproduce

@@ -13,7 +13,9 @@ families, and again with one state's family swapped, which takes the per-state
 route.  A class-built model holds only its families: its views are checked
 before, and without, its 128 slots being stored.  The reproduction report's
 triad events, read from the context table, are checked against one
-``conditional_probability`` call per outcome triple.
+``conditional_probability`` call per outcome triple.  ``verify_dm``, which checks
+a uniform model's class families once, is checked against ``slot_verify_dm``, the
+walk over all 128 slots.
 """
 
 from collections import Counter
@@ -54,9 +56,11 @@ from ghzlocal import (
 )
 from ghzlocal import builtin
 from ghzlocal.models import (
-    AcFailure, DmFailure, _ac_table, _class_outcomes, _site_mask, mspec_occurrences,
+    AcFailure, DmFailure, VerificationReport, _ac_table, _class_outcomes, _detecting, _site_mask,
+    mspec_occurrences,
 )
 from ghzlocal.serialize import model_from_json, model_to_json
+from ghzlocal.state_space import _state_classes
 
 STATES = enumerate_ghz_microstates()
 ALL_DETECTED = (1 << 9) - 1
@@ -363,12 +367,44 @@ def test_class_views_of_the_builtin_models(builder):
     check_class_views(builder().element_families())
 
 
+# every class fails detection masking on each triad it violates, so the failures of
+# all 128 states interleave the classes
+FAILING_FAMILIES = (
+    {element: (DDistribution.all_detected(),) for element in PartitionElement},
+    {element: (ddist(0), ddist(ALL_DETECTED), ddist(0b111111000)) for element in PartitionElement},
+)
+
+
 def test_class_views_list_dm_failures_in_state_order():
-    # every class fails detection masking on each triad it violates, so the
-    # failures of all 128 states interleave the classes
-    check_class_views({element: (DDistribution.all_detected(),) for element in PartitionElement})
-    mixed = {element: (ddist(0), ddist(ALL_DETECTED), ddist(0b111111000)) for element in PartitionElement}
-    check_class_views(mixed)
+    for families in FAILING_FAMILIES:
+        check_class_views(families)
+
+
+def slot_verify_dm(model: Model) -> VerificationReport:
+    """``verify_dm`` walking the 128 slots, each with its class's violated triads: the
+    oracle of the class route, which checks each class family once."""
+    failures = []
+    for (state, family), (_, element) in zip(model.assignment, _state_classes()):
+        for triad in element.violated:
+            for dd in _detecting(family, triad.mask):
+                failures.append(DmFailure(state, dd, triad))
+    return VerificationReport("dm", tuple(failures))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(models=uniform_models())
+def test_dm_class_route_matches_the_slot_walk_on_drawn_families(models):
+    # the class-built and state-map models take the class route, the swapped one the slots
+    for model in models:
+        assert verify_dm(model) == slot_verify_dm(model)
+
+
+def test_dm_class_route_matches_the_slot_walk():
+    searched = search_models(SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=40))
+    fixed = [Model.from_element_families("failing", families) for families in FAILING_FAMILIES]
+    for model in [model_m3(), model_m1(), model_m2(), *fixed, *searched]:
+        assert verify_dm(model) == slot_verify_dm(model), model.name
+    assert all(len(verify_dm(model).failures) > 128 for model in fixed)
 
 
 def test_class_built_models_derive_their_slots_only_on_demand():

@@ -60,6 +60,24 @@ def test_spec_rejects_bad_ranges():
             SearchSpec(failure_count=2, ddists_per_state=bad).validate()
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3"])
+def test_spec_rejects_a_failure_count_that_is_not_an_integer(bad):
+    # True once read as 1 and streamed nothing; 2.0 and "3" raised a bare TypeError
+    with pytest.raises(ValueError, match="failure_count must be an integer"):
+        SearchSpec(failure_count=bad).validate()
+    with pytest.raises(ValueError, match="failure_count must be an integer"):
+        next(search_models(SearchSpec(failure_count=bad, ddists_per_state=1)))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "3"])
+def test_spec_rejects_a_limit_that_is_not_an_integer(bad):
+    # True once streamed one model; 2.5 raised islice's own ValueError
+    with pytest.raises(ValueError, match="bad limit"):
+        SearchSpec(failure_count=3, limit=bad).validate()
+    with pytest.raises(ValueError, match="bad limit"):
+        next(search_models(SearchSpec(failure_count=3, ddists_per_state=1, limit=bad)))
+
+
 def test_integer_family_size_streams_as_its_range():
     assert SearchSpec(failure_count=3, ddists_per_state=1) == SearchSpec(
         failure_count=3, ddists_per_state=(1, 1)
@@ -189,20 +207,54 @@ def test_feasible_masks_match_site_reference(failure_count, z_always_detected):
     ids=["fc2-first-model", "fc2-many-prefixes", "fc1-starred-escape"],
 )
 def test_candidates_are_computed_once_per_class_per_search(spec, monkeypatch):
-    calls = Counter()
+    # one walk of the masks and one ranking per searched class for each call, never one
+    # per prefix; a second call walks again, so nothing is kept across searches
+    walks, rankings = [], Counter()
+    masks, ranked = search._masks, search._ranked
 
-    def counting(element, search_spec):
-        calls[element] += 1
-        return feasible_masks(element, search_spec)
+    def counting_walk(search_spec):
+        walks.append(search_spec)
+        return masks(search_spec)
 
-    monkeypatch.setattr(search, "feasible_masks", counting)
-    models = list(search_models(spec))
-    assert len(models) == spec.limit
-    searched = [
+    def counting_rank(element, pool_masks):
+        rankings[element] += 1
+        return ranked(element, pool_masks)
+
+    monkeypatch.setattr(search, "_masks", counting_walk)
+    monkeypatch.setattr(search, "_ranked", counting_rank)
+    searched = Counter(
         el for el in PartitionElement
         if not (spec.star_elements_all_undetected and el.is_starred)
-    ]
-    assert calls == Counter(searched)
+    )
+    for call in (1, 2):
+        models = list(search_models(spec))
+        assert len(models) == spec.limit
+        assert walks == [spec] * call
+        assert rankings == Counter({el: call * n for el, n in searched.items()})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(failure_count=3, ddists_per_state=(1, 1), limit=200),
+        SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=200),
+        SearchSpec(failure_count=1, star_elements_all_undetected=True, limit=200),
+        SearchSpec(failure_count=2, ddists_per_state=(2, 3), limit=250),
+    ],
+    ids=["fc3-deterministic", "fc2-families-1-2", "fc1-starred-escape", "fc2-families-2-3"],
+)
+def test_searched_models_store_what_the_class_build_stores(spec):
+    # the premise of canonicalising each family once, where _products generates it:
+    # a searched model holds the families from_element_families would store, sorted by
+    # flags and free of duplicates, with the classes in PartitionElement order
+    models = list(search_models(spec))
+    assert len(models) == spec.limit
+    for model in models:
+        built = Model.from_element_families(model.name, model._families)
+        assert model._families == built._families
+        assert list(model._families) == list(PartitionElement)
+        for family in model._families.values():
+            assert family == tuple(sorted(set(family), key=lambda dd: dd.flags))
 
 
 def test_family_size_above_a_class_candidate_count_gives_empty_stream():
