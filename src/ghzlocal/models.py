@@ -277,7 +277,7 @@ class Model(_Value):
 
     @cached_property
     def _contexts(self) -> "_ContextTable":
-        """The context table, empty until a probability query fills its contexts."""
+        """The context table, filled for all 63 contexts on first read."""
         return _ContextTable(self)
 
     def pairs(self) -> Iterator[tuple[MicroState, DDistribution, Fraction]]:
@@ -319,38 +319,37 @@ def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution
 
 
 class _ContextTable(dict):
-    """A model's context table: per context site mask, filled on first lookup, the detected
-    weight and its split by outcome, keyed by ``sign & mask``, over ``scale``."""
+    """A model's context table, filled whole in one walk when built: per context site mask,
+    the detected weight and its split by outcome, keyed by ``sign & mask``, over ``scale``."""
 
     def __init__(self, model: Model) -> None:
-        self.families = model._families
-        self.lcm = model._lcm
-        self.scale = N_STATES * self.lcm
-        if self.families is None:
-            groups: dict[int, list[tuple[int, int]]] = {}  # detect mask -> [(sign & detect, weight)]
+        lcm, families = model._lcm, model._families
+        self.scale = N_STATES * lcm
+        splits: dict[int, dict[int, int]] = {mask: {} for mask in _within(511)}
+        if families is None:
             for code, weight in model._mspecs[1].items():
-                groups.setdefault(code >> 9, []).append((code & 511, weight))
-            self.groups = tuple(groups.items())
-
-    def __missing__(self, mask: int) -> tuple[int, dict[int, int]]:
-        buckets: dict[int, int] = {}
-        if self.families is None:
-            for detect, entries in self.groups:
-                if detect & mask == mask:
-                    for signs, weight in entries:
-                        key = signs & mask
-                        buckets[key] = buckets.get(key, 0) + weight
+                for mask in _within(code >> 9):
+                    split = splits[mask]
+                    key = code & mask  # the code's low 9 bits are its sign & detect
+                    split[key] = split.get(key, 0) + weight
         else:  # a class adds its states' outcome counts times k detecting members' weight
-            for element, family in self.families.items():
-                k = 0
-                for ddist in family:
-                    if ddist._detected & mask == mask:
-                        k += 1
-                if k:
-                    weight = k * (self.lcm // len(family))
+            for element, family in families.items():
+                hits = Counter(mask for ddist in family for mask in _within(ddist._detected))
+                weight = lcm // len(family)
+                for mask, k in hits.items():
+                    split = splits[mask]
                     for key, n in _class_outcomes(element, mask):
-                        buckets[key] = buckets.get(key, 0) + n * weight
-        return self.setdefault(mask, (sum(buckets.values()), buckets))
+                        split[key] = split.get(key, 0) + n * k * weight
+        super().__init__((mask, (sum(split.values()), split)) for mask, split in splits.items())
+
+
+@lru_cache(maxsize=512)  # one entry per detect mask
+def _within(detect: int) -> tuple[int, ...]:
+    """The context site masks inside a detect mask, ascending; ``_within(511)`` lists all 63."""
+    masks = [0]
+    for low in (6, 3, 0):  # one site or none per particle, highest bits first so the masks ascend
+        masks = [m | b for m in masks for b in (0, *(1 << i for i in range(low, low + 3) if detect >> i & 1))]
+    return tuple(masks[1:])  # not the empty mask
 
 
 @lru_cache(maxsize=8 * 63)  # one entry per (class, context)
@@ -613,9 +612,6 @@ class Combination(_Value):
     def label(self) -> str:
         return ",".join(self.slots)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self._sort_key
-
 
 def to_combination(mspec: MSpecification) -> Optional[Combination]:
     """Drop the z slots and write D for 0; the all-zero m-specification maps to
@@ -642,7 +638,10 @@ class CombinationDistribution(_Value):
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(self.masses.values(), self.undetected)
+        """All the masses, the undetected one too, summed as integers over their denominators' lcm."""
+        masses = (*self.masses.values(), self.undetected)
+        lcm = math.lcm(*(m.denominator for m in masses))
+        return Fraction(sum(m.numerator * (lcm // m.denominator) for m in masses), lcm)
 
     def rows(self) -> list[tuple[Combination, Fraction]]:
         return sorted(self.masses.items(), key=lambda item: item[0]._sort_key)

@@ -36,7 +36,7 @@ from .models import (
     _canonical_family,
     census,
 )
-from .state_space import SITES, XY_SITES, PartitionElement, Site, _is_int, _Value
+from .state_space import SITES, XY_SITES, PartitionElement, _is_int, _Value
 
 
 class UnboundedSearchError(ValueError):
@@ -126,15 +126,6 @@ def _ranked(element: PartitionElement, masks: dict[int, DDistribution]) -> list[
         else:
             coverage[bits] = total
     return [masks[bits] for bits in sorted(coverage, key=coverage.__getitem__)]
-
-
-def feasible_masks(element: PartitionElement, spec: SearchSpec) -> list[tuple[Site, ...]]:
-    """Undetected-site masks compatible with detection masking for the class.
-
-    Exactly ``failure_count`` sites, each violated triad hit at least once;
-    ordered by descending violated-triad coverage, then by site labels.
-    """
-    return [ddist.undetected_sites for ddist in _ranked(element, _masks(spec))]
 
 
 def _candidates(

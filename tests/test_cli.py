@@ -19,6 +19,9 @@ from ghzlocal.cli import main
 from ghzlocal.serialize import model_to_json
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -212,6 +215,21 @@ def test_probs_json_round_trip(capsys):
     assert by_product[(1, 1, -1)] == "0/1"
 
 
+# `probs` as a table and as JSON on one context of each size and a mixed-axis triple,
+# pinned from the output of the context table filled one context per lookup
+PROBS_CONTEXTS = ("x1", "z1,z2", "x1,y2,y3", "y1,x2,z3")
+
+
+@pytest.mark.parametrize("selector", ["M3", "M1", "M2"])
+def test_probs_output_is_pinned(capsys, selector):
+    for context in PROBS_CONTEXTS:
+        stem = f"{selector.lower()}_{context.replace(',', '_')}"
+        for fmt, suffix in (("table", "txt"), ("json", "json")):
+            code, out, _ = run(capsys, "probs", selector, context, "--format", fmt)
+            assert code == 0
+            assert out.encode() == (DATA / "probs" / f"{stem}.{suffix}").read_bytes(), (context, fmt)
+
+
 # --------------------------------------------------------------------------- combinations
 
 
@@ -357,8 +375,6 @@ def test_search_limit_flag_overrides(capsys, tmp_path):
         code, out, err = run(capsys, "search", huge)
         assert (code, out) == (2, "") and "bad limit" in err
 
-
-DATA = Path(__file__).resolve().parent / "data"
 
 # sha256 of `search <profile> --limit 200` as a table and as JSON lines, pinned from the
 # streams these profiles gave before the search ranked masks by bit arithmetic

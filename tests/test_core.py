@@ -56,7 +56,7 @@ from ghzlocal import (
 )
 from ghzlocal import builtin
 from ghzlocal.models import (
-    AcFailure, DmFailure, VerificationReport, _ac_table, _class_outcomes, _detecting, _site_mask,
+    AcFailure, DmFailure, VerificationReport, _ac_table, _class_outcomes, _detecting, _site_mask, _within,
     mspec_occurrences,
 )
 from ghzlocal.serialize import model_from_json, model_to_json
@@ -156,6 +156,8 @@ def check_against_reference(model: Model) -> None:
     assert tuple(census(model)) == ref["census"]
     dist = combination_distribution(model)
     assert (list(dist.masses.items()), dist.undetected) == ref["combinations"]
+    combos, undetected = ref["combinations"]
+    assert dist.total_mass == sum((mass for _, mass in combos), undetected) == 1
     assert list(mspec_occurrences(model).items()) == ref["mspecs"]
     for context, detected in ref["detection"].items():
         assert detection_probability(model, context) == detected
@@ -259,9 +261,9 @@ def test_core_matches_fraction_loops_on_uniform_models(models):
         check_against_reference(model)
         check_class_restrictions(model)
     # uniformity is read from the slots: by identity, by equality, and lost by one state
-    assert by_class._contexts.families is not None
-    assert by_state._contexts.families == by_class._contexts.families
-    assert swapped._contexts.families is None
+    assert by_class._families is not None
+    assert by_state._families == by_class._families
+    assert swapped._families is None
 
 
 def triad_events_reference(model: Model) -> dict:
@@ -306,6 +308,17 @@ def test_class_outcomes_count_the_class_states():
                 for state in partition_classes()[element]
             )
             assert dict(_class_outcomes(element, _site_mask(context.sites))) == direct
+
+
+def test_within_lists_the_contexts_inside_each_detect_mask():
+    """The premise of the one-walk context table: a pair with detect mask d adds to exactly
+    the contexts whose sites d detects, so ``_within(d)`` is the brute-force filter of the
+    63 context masks, and ``_within(511)`` is all of them."""
+    contexts = sorted(_site_mask(context.sites) for context in enumerate_contexts())
+    assert len(set(contexts)) == 63
+    assert list(_within(ALL_DETECTED)) == contexts
+    for detect in range(ALL_DETECTED + 1):
+        assert list(_within(detect)) == [mask for mask in contexts if detect & mask == mask], detect
 
 
 def slot_free_views(model: Model) -> list:

@@ -12,6 +12,7 @@ from ghzlocal import (
     SITES,
     XY_SITES,
     Combination,
+    CombinationDistribution,
     DDistribution,
     MeasurementContext,
     MicroState,
@@ -266,7 +267,7 @@ def test_surviving_triad_counts():
     for slots in itertools.product(("+1", "-1", "D"), repeat=6):
         combo = Combination(slots)
         assert combo.surviving_triads == sum(all(slots[p] != "D" for p in triad) for triad in positions), slots
-        assert combo.sort_key() == tuple(order[slot] for slot in slots), slots
+        assert combo._sort_key == tuple(order[slot] for slot in slots), slots
         assert hash(combo) == hash((slots,)), slots
 
 
@@ -288,6 +289,22 @@ def test_combination_distribution_masses(m3, m1, m2):
     d2 = combination_distribution(m2)
     assert len(d2.masses) == 96
     assert d2.total_mass == 1
+
+
+def test_total_mass_is_exact_for_any_masses():
+    # coprime denominators, so no shared scale: the integer sum runs over their lcm
+    slots = itertools.islice(itertools.product(("+1", "-1", "D"), repeat=6), 4)
+    masses = dict(zip(map(Combination, slots), (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(-4, 17))))
+    for dist in (
+        CombinationDistribution(masses, Fraction(1, 13)),
+        CombinationDistribution(masses, Fraction(0)),
+        CombinationDistribution({}, Fraction(3, 5)),
+        CombinationDistribution({}, Fraction(0)),
+    ):
+        total = dist.total_mass
+        assert type(total) is Fraction
+        assert total == sum(dist.masses.values(), dist.undetected)
+    assert CombinationDistribution(masses, Fraction(1, 13)).total_mass == Fraction(46723, 51051)
 
 
 def test_census_examples(m3, m1, m2):

@@ -23,7 +23,7 @@ from ghzlocal import (
     verify_dm,
 )
 from ghzlocal import search
-from ghzlocal.search import feasible_masks
+from ghzlocal.search import _masks, _ranked
 from ghzlocal.state_space import SITES, XY_SITES, PartitionElement
 
 
@@ -32,6 +32,13 @@ M1_SHAPE = SearchSpec(
     failure_count=1, star_elements_all_undetected=True, ddists_per_state=(3, 3), limit=4
 )
 ONE_FAILURE_EVERYWHERE = SearchSpec(failure_count=1, limit=4)
+
+
+def feasible_masks(element, spec):
+    """The class's DM-feasible undetected-site masks as the search ranks them: exactly
+    ``failure_count`` sites, each violated triad hit at least once; by descending
+    violated-triad coverage, then by site labels."""
+    return [dd.undetected_sites for dd in _ranked(element, _masks(spec))]
 
 
 def test_spec_must_be_bounded():
