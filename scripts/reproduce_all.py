@@ -10,18 +10,13 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ghzlocal import BUILTIN_SELECTORS, builtin_model, combination_distribution, reproduce_section4
-from ghzlocal.serialize import (
-    combinations_to_csv,
-    model_to_json,
-    repro_report_to_json,
-)
+from ghzlocal.serialize import combinations_to_csv, document_to_text, model_to_json, repro_report_to_json
 
 
 def main() -> int:
@@ -40,12 +35,8 @@ def main() -> int:
             print(check.line)
         all_ok = all_ok and report.passed
 
-        (out / f"{selector.lower()}_report.json").write_text(
-            json.dumps(repro_report_to_json(report), indent=2, sort_keys=True) + "\n"
-        )
-        (out / f"{selector.lower()}_model.json").write_text(
-            json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
-        )
+        (out / f"{selector.lower()}_report.json").write_text(document_to_text(repro_report_to_json(report)) + "\n")
+        (out / f"{selector.lower()}_model.json").write_text(document_to_text(model_to_json(model)) + "\n")
         (out / f"{selector.lower()}_combinations.csv").write_text(
             combinations_to_csv(combination_distribution(model))
         )

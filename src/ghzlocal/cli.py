@@ -48,9 +48,9 @@ class CommandOutcome(_Value):
 
 
 def _read_json(path: str, what: str) -> Any:
-    import json
+    from .serialize import document_from_text
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return document_from_text(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a too long integer, too deep nesting
@@ -74,11 +74,6 @@ def _load_model(source: str) -> Model:
         raise InputError(f"invalid model file {source!r}: {exc}") from exc
 
 
-def _dump(document: object) -> str:
-    import json
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 def _ascii_int(text: str) -> int:
     """A non-negative integer written in ASCII digits only: no sign, space or '_'."""
     try:
@@ -96,7 +91,7 @@ def cmd_states(args: argparse.Namespace) -> CommandOutcome:
     states = _state_classes()
     classes = partition_classes()
     if args.format == "json":
-        from .serialize import SCHEMA_VERSION, microstate_to_json
+        from .serialize import SCHEMA_VERSION, document_to_text, microstate_to_json
         document = {
             "schema_version": SCHEMA_VERSION,
             "count": len(states),
@@ -104,7 +99,7 @@ def cmd_states(args: argparse.Namespace) -> CommandOutcome:
                 {"values": microstate_to_json(s), "element": el.value} for s, el in states
             ],
         }
-        return CommandOutcome(EXIT_OK, _dump(document))
+        return CommandOutcome(EXIT_OK, document_to_text(document))
     lines = []
     if args.partition:
         for el, members in classes.items():
@@ -155,14 +150,14 @@ def cmd_verify(args: argparse.Namespace) -> CommandOutcome:
         reports.append(verify_counts(model, _parse_expected_counts(args.counts)))
     ok = all(r.passed for r in reports)
     if args.format == "json":
-        from .serialize import SCHEMA_VERSION, verification_report_to_json
+        from .serialize import SCHEMA_VERSION, document_to_text, verification_report_to_json
         document = {
             "schema_version": SCHEMA_VERSION,
             "model": model.name,
             "pass": ok,
             "reports": [verification_report_to_json(r) for r in reports],
         }
-        return CommandOutcome(EXIT_OK if ok else EXIT_VERIFICATION_FAILED, _dump(document))
+        return CommandOutcome(EXIT_OK if ok else EXIT_VERIFICATION_FAILED, document_to_text(document))
     lines = [f"model: {model.name}"]
     for report in reports:
         status = "pass" if report.passed else f"FAIL ({len(report.failures)} failures)"
@@ -183,7 +178,8 @@ def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
     from .models import UndefinedConditionalError, conditional_probability
     from .models import detection_probability, total_probability
     from .qm import OutcomeAssignment, outcome_assignments, qm_probability
-    from .serialize import SCHEMA_VERSION, fraction_to_str, parse_context_arg, parse_outcomes_arg
+    from .serialize import SCHEMA_VERSION, document_to_text, fraction_to_str
+    from .serialize import parse_context_arg, parse_outcomes_arg
     model = _load_model(args.model)
     try:
         context = parse_context_arg(args.context)
@@ -222,7 +218,7 @@ def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
                 for assign, c, t, q in rows
             ],
         }
-        return CommandOutcome(EXIT_OK, _dump(document))
+        return CommandOutcome(EXIT_OK, document_to_text(document))
     lines = [
         f"model: {model.name}  context: {context.label}",
         f"detection probability: {detection}",
@@ -240,11 +236,11 @@ def cmd_probs(args: argparse.Namespace) -> CommandOutcome:
 
 def cmd_combinations(args: argparse.Namespace) -> CommandOutcome:
     from .models import combination_distribution
-    from .serialize import combinations_to_csv, combinations_to_json
+    from .serialize import combinations_to_csv, combinations_to_json, document_to_text
     model = _load_model(args.model)
     dist = combination_distribution(model)
     if args.format == "json":
-        return CommandOutcome(EXIT_OK, _dump(combinations_to_json(model.name, dist)))
+        return CommandOutcome(EXIT_OK, document_to_text(combinations_to_json(model.name, dist)))
     if args.format == "csv":
         return CommandOutcome(EXIT_OK, combinations_to_csv(dist).rstrip("\n"))
     lines = [" ".join(f"{s.label:<3}" for s in XY_SITES) + f" {'probability':<12} triads"]
@@ -280,21 +276,15 @@ def cmd_search(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(EXIT_OK, _search_lines(spec, args.format == "json"))
 
 
-def search_models(spec: SearchSpec) -> Iterator[Model]:
-    """``search.search_models``, imported at the first search; ``_search_lines`` calls this name."""
-    from .search import search_models
-    return search_models(spec)
-
-
 def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
     """One line per model as the search yields it, then the count."""
-    import json
     from .models import census
-    from .serialize import SCHEMA_VERSION, model_to_json
+    from .search import search_models
+    from .serialize import SCHEMA_VERSION, document_to_text, model_to_json
     found = 0
     for found, model in enumerate(search_models(spec), start=1):
         if as_json:
-            yield json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
+            yield document_to_text(model_to_json(model), line=True)
         else:
             counts = census(model)
             yield (
@@ -303,10 +293,7 @@ def _search_lines(spec: SearchSpec, as_json: bool) -> Iterator[str]:
                 f" combinations={counts.combinations}"
             )
     if as_json:
-        yield json.dumps(
-            {"schema_version": SCHEMA_VERSION, "models_found": found},
-            sort_keys=True, separators=(",", ":"),
-        )
+        yield document_to_text({"schema_version": SCHEMA_VERSION, "models_found": found}, line=True)
     else:
         yield f"models found: {found}"
 
@@ -322,10 +309,10 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandOutcome:
     from .builtin import reproduce_section4
     report = reproduce_section4(args.selector)
     if args.format == "json":
-        from .serialize import repro_report_to_json
+        from .serialize import document_to_text, repro_report_to_json
         return CommandOutcome(
             EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED,
-            _dump(repro_report_to_json(report)),
+            document_to_text(repro_report_to_json(report)),
         )
     lines = [f"reproduction report: {report.model}"]
     lines.extend(check.line for check in report.checks)
@@ -338,9 +325,9 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_export(args: argparse.Namespace) -> CommandOutcome:
-    from .serialize import model_to_json
+    from .serialize import document_to_text, model_to_json
     model = _load_model(args.model)
-    return CommandOutcome(EXIT_OK, _dump(model_to_json(model)))
+    return CommandOutcome(EXIT_OK, document_to_text(model_to_json(model)))
 
 
 # --------------------------------------------------------------------------- parser
@@ -352,41 +339,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact probability engine for finite local detection models of the GHZ experiment.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--output", metavar="PATH", help="write output to a file")
+    # a command's --format offers only the formats it writes
+    table_json = argparse.ArgumentParser(add_help=False, parents=[common])
+    table_json.add_argument("--format", choices=("table", "json"), default="table")
+    with_csv = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_csv.add_argument("--format", choices=("table", "json", "csv"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("states", parents=[common], help="list the 128 GHZ-compatible states")
+    p = sub.add_parser("states", parents=[table_json], help="list the 128 GHZ-compatible states")
     p.add_argument("--partition", action="store_true", help="group states by partition element")
     p.set_defaults(func=cmd_states)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a model (builtin name or JSON file)")
+    p = sub.add_parser("verify", parents=[table_json], help="verify a model (builtin name or JSON file)")
     p.add_argument("model")
     p.add_argument("--ac", action="store_true", help="check the adequacy condition")
     p.add_argument("--dm", action="store_true", help="check the detection-masking condition")
     p.add_argument("--counts", metavar="MSPECS,COMBOS[,DDISTS]", help="check census counts")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("probs", parents=[common], help="detection/conditional/total probabilities")
+    p = sub.add_parser("probs", parents=[table_json], help="detection/conditional/total probabilities")
     p.add_argument("model")
     p.add_argument("context", help="comma-separated sites, e.g. x1,y2,y3")
     p.add_argument("--outcomes", help="comma-separated signs, e.g. +1,-1,+1")
     p.set_defaults(func=cmd_probs)
 
-    p = sub.add_parser("combinations", parents=[common], help="export the combination distribution")
+    p = sub.add_parser("combinations", parents=[with_csv], help="export the combination distribution")
     p.add_argument("model")
     p.set_defaults(func=cmd_combinations)
 
-    p = sub.add_parser("search", parents=[common], help="search for models matching a spec file")
+    p = sub.add_parser("search", parents=[table_json], help="search for models matching a spec file")
     p.add_argument("spec", help="path to a search-spec JSON document")
     p.add_argument("--limit", type=_ascii_int, help="emit at most this many models")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("reproduce", parents=[common], help="recompute all published values for a builtin model")
+    p = sub.add_parser("reproduce", parents=[table_json], help="recompute all published values for a builtin model")
     p.add_argument("selector", help="M3, M1 or M2")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("export", parents=[common], help="write a model as JSON")
+    p = sub.add_parser("export", parents=[table_json], help="write a model as JSON")
     p.add_argument("model")
     p.set_defaults(func=cmd_export)
     return parser
@@ -398,9 +389,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if args.format == "csv" and args.command != "combinations":
-        print(f"error: --format csv is not supported for {args.command}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         outcome = args.func(args)
     except UsageError as exc:

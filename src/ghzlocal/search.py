@@ -84,13 +84,16 @@ class SearchSpec(_Value):
             raise ValueError(f"failure_count must be an integer: {self.failure_count!r}")
         if not 0 <= self.failure_count <= 9:
             raise ValueError(f"failure_count out of range: {self.failure_count}")
+        for flag in ("z_always_detected", "per_element_uniformity", "star_elements_all_undetected"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be True or False: {getattr(self, flag)!r}")
         if not self.per_element_uniformity:
             raise UnboundedSearchError(
                 "search spec is unbounded: only per-element-uniform search is supported"
             )
         if self.ddists_per_state is not None:
             pair = self.ddists_per_state
-            valid = isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))
+            valid = isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))
             if not valid or not 1 <= pair[0] <= pair[1]:
                 raise ValueError(f"bad ddists_per_state range: {pair}")
         if self.limit is not None and not (_is_int(self.limit) and 0 <= self.limit <= sys.maxsize):

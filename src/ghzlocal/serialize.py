@@ -1,4 +1,4 @@
-"""Documented JSON and CSV forms for every boundary object.
+"""Documented JSON and CSV forms for every boundary object, and their text.
 
 All probabilities cross the boundary as exact "p/q" strings, never decimals;
 all documents carry a schema_version field.
@@ -60,6 +60,22 @@ def fraction_from_str(text: Any) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {text!r}") from exc
+
+
+def document_to_text(document: Any, *, line: bool = False) -> str:
+    """JSON text with sorted keys, indented by two spaces or as one compact ``line``;
+    ``json`` loads at the first call, so table and CSV output never imports it."""
+    import json
+    if line:
+        return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+def document_from_text(text: str) -> Any:
+    """The document a JSON text holds: ``ValueError`` for text that is not JSON or holds an
+    integer too long to convert, ``RecursionError`` for nesting too deep to read."""
+    import json
+    return json.loads(text)
 
 
 # --------------------------------------------------------------------------- states

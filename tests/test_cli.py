@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghzlocal import classify, cli, enumerate_ghz_microstates
+from ghzlocal import classify, enumerate_ghz_microstates
 from ghzlocal.cli import main
 from ghzlocal.serialize import model_to_json
+from test_reproduce_all import MODEL_SHA256
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -255,9 +257,61 @@ def test_combinations_m2_json(capsys):
     assert len(document["combinations"]) == 96
 
 
+# each command with valid operands; only `combinations` writes CSV
+COMMAND_ARGV = {
+    "states": ("states",),
+    "verify": ("verify", "M3"),
+    "probs": ("probs", "M1", "x1"),
+    "combinations": ("combinations", "M1"),
+    "search": ("search", "spec.json"),
+    "reproduce": ("reproduce", "M3"),
+    "export": ("export", "M3"),
+}
+
+
 def test_csv_unsupported_elsewhere(capsys):
-    code, _, err = run(capsys, "states", "--format", "csv")
-    assert code == 2
+    for command, argv in COMMAND_ARGV.items():
+        if command != "combinations":
+            code, out, err = run(capsys, *argv, "--format", "csv")
+            assert (code, out) == (2, ""), command
+            assert "argument --format: invalid choice: 'csv'" in err, command
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_help_names_the_formats_the_command_writes(capsys, command):
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    formats = "table,json,csv" if command == "combinations" else "table,json"
+    assert set(re.findall(r"--format \{([a-z,]+)\}", out)) == {formats}
+
+
+# a probe process that runs one command and reports whether the json module was loaded
+JSON_PROBE = """
+import contextlib, io, sys
+from ghzlocal.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+JSON_LOADED = {
+    ("states", "--partition"): False,
+    ("combinations", "M2", "--format", "csv"): False,
+    ("verify", "M2"): False,
+    ("probs", "M1", "x1"): False,
+    ("export", "M1"): True,
+}
+
+
+@pytest.mark.parametrize("argv", JSON_LOADED, ids=" ".join)
+def test_only_json_output_imports_json(argv):
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", JSON_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == ["0", str(JSON_LOADED[argv])]
 
 
 # --------------------------------------------------------------------------- search
@@ -321,7 +375,7 @@ def test_search_writes_each_model_before_the_next_is_built(capsys, tmp_path, mon
             written.append(target.read_text() if output else capsys.readouterr().out)
             yield m1
 
-        monkeypatch.setattr(cli, "search_models", search)
+        monkeypatch.setattr("ghzlocal.search.search_models", search)
         code, out, _ = run(capsys, "search", spec, "--format", "json", *output)
         assert code == 0
         assert written == [line["M3"]]
@@ -448,6 +502,43 @@ def test_export_and_reimport(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(target), "--ac", "--dm")
     assert code == 0
     assert "ac: pass" in out
+
+
+@pytest.mark.parametrize("selector", ["M3", "M1", "M2"])
+def test_export_is_the_script_model_file(capsys, selector):
+    code, out, _ = run(capsys, "export", selector)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODEL_SHA256[f"{selector.lower()}_model.json"]
+
+
+# sha256 of JSON documents that no file in tests/data holds, pinned from the text
+# `json.dumps(document, indent=2, sort_keys=True)` gave them
+JSON_SHA256 = {
+    ("states",): "c709172cc5afa6d7171a86c52d15fd66fc78b8e95de91c4861ae63dca5a3289e",
+    ("verify", "M3"): "432c2efd51e6987c6b5c567539785d34be58522c9f2023e16030c4b92d6adf14",
+    ("verify", "M1"): "f1a1f520b117027278617db7bcce9452d0a64972ae9f664fbe63543f2b44cd28",
+    ("verify", "M2"): "183c0a87de7ac672dda661372d2fd5c963369f9fa269e8460b9c8071d69929cc",
+    ("combinations", "M1"): "6fa47c5aff652b1fdb48fa8c0a524ae793b44f642d8107309f15c71f90e0e39c",
+}
+
+
+@pytest.mark.parametrize("argv", JSON_SHA256, ids=" ".join)
+def test_json_document_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_SHA256[argv]
+
+
+def test_failed_verification_document_is_pinned(capsys, tmp_path, m3):
+    document = model_to_json(m3)
+    document["states"][0]["ddists"] = [["D"] * 9]  # the first state always fully detected
+    path = tmp_path / "m3-first-state-detected.json"
+    path.write_text(json.dumps(document))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "475c5fcb4317031adc3b8c674556211df4006c3b272e7ca2d163258f8fe4a591"
+    )
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

@@ -62,9 +62,21 @@ def test_spec_rejects_bad_ranges():
     SearchSpec(failure_count=2, limit=sys.maxsize).validate()
     # an integer n is the range (n, n); anything else but a pair of integers is refused
     SearchSpec(failure_count=3, ddists_per_state=1).validate()
-    for bad in (0, -2, True, 1.0, "1", (1,), (1, 2, 3), ("1", 2), (1, 2.0), (True, 1), {1: 2}):
+    # a list once validated, and the spec then failed to hash
+    bads = (0, -2, True, 1.0, "1", (1,), (1, 2, 3), ("1", 2), (1, 2.0), (True, 1), {1: 2}, [1, 1], [1, 2])
+    for bad in bads:
         with pytest.raises(ValueError, match="bad ddists_per_state range"):
             SearchSpec(failure_count=2, ddists_per_state=bad).validate()
+
+
+@pytest.mark.parametrize("flag", ["z_always_detected", "per_element_uniformity", "star_elements_all_undetected"])
+@pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
+def test_spec_rejects_a_flag_that_is_not_a_bool(flag, bad):
+    # "false" once switched the starred escape on, and 0 passed for z_always_detected
+    with pytest.raises(ValueError, match=f"{flag} must be True or False"):
+        SearchSpec(failure_count=1, limit=2, **{flag: bad}).validate()
+    with pytest.raises(ValueError, match=f"{flag} must be True or False"):
+        next(search_models(SearchSpec(failure_count=1, limit=2, **{flag: bad})))
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, "3"])
