@@ -205,8 +205,8 @@ def _triad_events(model: Model) -> dict[Triad, tuple[Fraction, bool]]:
         if detected == 0:
             raise UndefinedConditionalError(f"model {model.name!r} never detects context {triad.context.label}")
         satisfying = _satisfying(triad)  # at 1/4 each they carry all the mass, the others none
-        mass = sum(buckets.get(key, 0) for key in satisfying)
-        events[triad] = (Fraction(mass, detected), all(4 * buckets.get(key, 0) == detected for key in satisfying))
+        mass = sum(buckets[key] for key in satisfying)
+        events[triad] = (Fraction(mass, detected), all(4 * buckets[key] == detected for key in satisfying))
     return events
 
 

@@ -8,20 +8,21 @@ d-distribution within a state.
 A model built from its 8 class families holds those families and its name; the
 128 per-state slots are derived only when a per-state reader asks for them.  Every
 model carries one uniformity probe, its 8 class families or None.  On a uniform
-model the context table reads the families and process-wide per-(class, context)
-outcome counts, and detection masking checks each class family once, so their cost
-is set by the families, not by the 128 states; the m-specification histogram walks
-the slots, derived from the families without being stored.
+model detection masking checks each class family once, so its cost is set by the
+families, not by the 128 states; the m-specification histogram walks the slots,
+derived from the families without being stored.
 
 Bulk queries read integer views of the model, cached on the instance.  A pair
 (state, d-distribution) is the state's 9-bit sign mask (bit i set where the value
 is -1), the d-distribution's 9-bit detect mask (bit i set where site i is
 detected) and the weight L // d over ``128 * L``, L the lcm of the family sizes.
 A pair detects a context's site mask C when ``detect & C == C``, with outcome
-``sign & C``.  The context table holds per C the detected weight and its split by
-outcome; the m-specification histogram holds per ``(detect, sign & detect)`` its
-pair count and weight, in order of first occurrence.  Exact ``Fraction``s are
-built from the final integer sums only.
+``sign & C``.  The m-specification histogram holds per ``(detect, sign & detect)``
+its pair count and weight, in order of first occurrence.  The context table is
+filled from it in one pass, the same for every model: 343 cells, one per choice of
+no site or one signed site on each particle, so a context's split by outcome is 2,
+4 or 8 of them and its detected weight their sum.  Exact ``Fraction``s are built
+from the final integer sums only.
 
 Measured outcomes with 0 at undetected sites form an m-specification; a pair
 (state, d-distribution) fixes it with no reference to any measurement context,
@@ -32,6 +33,7 @@ writing D for 0 converts m-specifications to Szabo-Fine combinations.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -318,48 +320,71 @@ def _detecting(family: Iterable[DDistribution], mask: int) -> list[DDistribution
 # probabilities
 
 
-class _ContextTable(dict):
-    """A model's context table, filled whole in one walk when built: per context site mask,
-    the detected weight and its split by outcome, keyed by ``sign & mask``, over ``scale``."""
+class _ContextTable:
+    """A model's context table: 343 exact cells over ``scale``, filled in one pass when built.
+
+    A cell chooses on each particle no site or one site with its sign (7 options, the
+    cell ``49 * o1 + 7 * o2 + o3``) and holds the weight of the pairs that detect the
+    chosen sites and give them those signs; cell 0 holds all the weight.  A context's
+    outcome split is its cells, and its detected weight their sum (``_cell_map``).
+
+    The cells are fixed-width fields of one int: each code adds its weight times the
+    fields of the options its particle-3 part gives, grouped by its particle-1/2 bits;
+    each group is shifted into the options of its particle-2 part, and each particle-1
+    group into those of its particle-1 part.  No cell exceeds ``scale``, so no field
+    carries into the next.
+    """
 
     def __init__(self, model: Model) -> None:
-        lcm, families = model._lcm, model._families
-        self.scale = N_STATES * lcm
-        splits: dict[int, dict[int, int]] = {mask: {} for mask in _within(511)}
-        if families is None:
-            for code, weight in model._mspecs[1].items():
-                for mask in _within(code >> 9):
-                    split = splits[mask]
-                    key = code & mask  # the code's low 9 bits are its sign & detect
-                    split[key] = split.get(key, 0) + weight
-        else:  # a class adds its states' outcome counts times k detecting members' weight
-            for element, family in families.items():
-                hits = Counter(mask for ddist in family for mask in _within(ddist._detected))
-                weight = lcm // len(family)
-                for mask, k in hits.items():
-                    split = splits[mask]
-                    for key, n in _class_outcomes(element, mask):
-                        split[key] = split.get(key, 0) + n * k * weight
-        super().__init__((mask, (sum(split.values()), split)) for mask, split in splits.items())
+        self.scale = scale = N_STATES * model._lcm
+        size = 1 << ((scale.bit_length() - 1) >> 3).bit_length()  # bytes per field: 1, 2, 4, 8, 16 ...
+        width = 8 * size
+        third, second, first = _options(width), _options(7 * width), _options(49 * width)
+        groups: dict[int, int] = {}
+        for code, weight in model._mspecs[1].items():
+            key = code & 0x7E3F  # the code's particle-1/2 detect and sign bits
+            groups[key] = groups.get(key, 0) + weight * third[code >> 12 & 56 | code >> 6 & 7]
+        ones: dict[int, int] = {}
+        for code, fields in groups.items():
+            key = code & 0xE07  # the code's particle-1 detect and sign bits
+            ones[key] = ones.get(key, 0) + fields * second[code >> 9 & 56 | code >> 3 & 7]
+        packed = sum(fields * first[code >> 6 & 56 | code & 7] for code, fields in ones.items())
+        data = memoryview(packed.to_bytes(343 * size, sys.byteorder))
+        if size <= 8:
+            cells = data.cast("BHIQ"[size.bit_length() - 1]).tolist()
+        else:
+            cells = [int.from_bytes(data[i:i + size], sys.byteorder) for i in range(0, 343 * size, size)]
+        self.cells = cells if sys.byteorder == "little" else cells[::-1]
+
+    def __getitem__(self, mask: int) -> tuple[int, dict[int, int]]:
+        """A context site mask's detected weight and its split by outcome key ``sign & mask``."""
+        split = {key: self.cells[cell] for key, cell in _cell_map()[mask].items()}
+        return sum(split.values()), split
 
 
-@lru_cache(maxsize=512)  # one entry per detect mask
-def _within(detect: int) -> tuple[int, ...]:
-    """The context site masks inside a detect mask, ascending; ``_within(511)`` lists all 63."""
-    masks = [0]
-    for low in (6, 3, 0):  # one site or none per particle, highest bits first so the masks ascend
-        masks = [m | b for m in masks for b in (0, *(1 << i for i in range(low, low + 3) if detect >> i & 1))]
-    return tuple(masks[1:])  # not the empty mask
+@lru_cache(maxsize=12)  # three strides per field width
+def _options(stride: int) -> tuple[int, ...]:
+    """Per particle part ``detect << 3 | sign`` (3 bits each): ``1 << stride * o`` summed over
+    the options o it gives, 0 (no site) and ``1 + 2 * j + sign bit j`` per detected site j."""
+    return tuple(
+        1 + sum(1 << stride * (1 + 2 * j + (sign >> j & 1)) for j in range(3) if detect >> j & 1)
+        for detect in range(8) for sign in range(8)
+    )
 
 
-@lru_cache(maxsize=8 * 63)  # one entry per (class, context)
-def _class_outcomes(element: PartitionElement, mask: int) -> tuple[tuple[int, int], ...]:
-    """Outcome counts ``sign & mask`` over the 16 states of a partition class."""
-    counts: dict[int, int] = {}
-    for state in partition_classes()[element]:
-        key = state._signs & mask
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(counts.items())
+@lru_cache(maxsize=1)
+def _cell_map() -> dict[int, dict[int, int]]:
+    """Per context site mask, per outcome key ``sign & mask``: its cell, one walk of the 342."""
+    cells: dict[int, dict[int, int]] = {}
+    for cell in range(1, 343):
+        mask = key = 0
+        for low, option in ((0, cell // 49), (3, cell // 7 % 7), (6, cell % 7)):
+            if option:
+                j, negative = divmod(option - 1, 2)
+                mask |= 1 << low + j
+                key |= negative << low + j
+        cells.setdefault(mask, {})[key] = cell
+    return cells
 
 
 def detection_probability(
@@ -394,7 +419,7 @@ def conditional_probability(model: Model, assign: OutcomeAssignment) -> Fraction
         raise UndefinedConditionalError(
             f"model {model.name!r} never detects context {assign.context.label}"
         )
-    return Fraction(buckets.get(_outcome_key(assign.items()), 0), detected)
+    return Fraction(buckets[_outcome_key(assign.items())], detected)
 
 
 def conditional_probability_by_element(
@@ -433,7 +458,7 @@ def total_probability(model: Model, assign: OutcomeAssignment) -> Fraction:
     """Overall display probability: detection times conditional, or 0."""
     table = model._contexts
     _, buckets = table[_site_mask(assign.context.sites)]
-    return Fraction(buckets.get(_outcome_key(assign.items()), 0), table.scale)
+    return Fraction(buckets[_outcome_key(assign.items())], table.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +528,14 @@ def verify_ac(model: Model) -> VerificationReport:
     """
     failures: list[Failure] = []
     skipped: list[str] = []
+    cells = model._contexts.cells
     for context, mask, rows in _ac_table():
-        detected, buckets = model._contexts[mask]
+        detected = sum([cells[row[3]] for row in rows])
         if detected == 0:
             skipped.append(context.label)
             continue
-        for key, numerator, denominator in rows:
-            n = buckets.get(key, 0)
+        for key, numerator, denominator, cell in rows:
+            n = cells[cell]
             if n * denominator != numerator * detected:
                 assign, expected = _ac_expected(mask, key)
                 failures.append(AcFailure(context, assign, expected, Fraction(n, detected)))
@@ -517,18 +543,19 @@ def verify_ac(model: Model) -> VerificationReport:
 
 
 @lru_cache(maxsize=1)
-def _ac_table() -> tuple[tuple[MeasurementContext, int, tuple[tuple[int, int, int], ...]], ...]:
+def _ac_table() -> tuple[tuple[MeasurementContext, int, tuple[tuple[int, int, int, int], ...]], ...]:
     """Per context: its site mask and, per outcome assignment in ``outcome_assignments``
-    order, its outcome key and ``qm_probability`` as integers (numerator, denominator)."""
+    order, its outcome key, ``qm_probability`` as integers (numerator, denominator) and
+    its context-table cell."""
     from .qm import _outcome_tuples, _qm_ratio
     table = []
     for context in enumerate_contexts():
         sites = context.sites
-        rows = tuple(
-            (_outcome_key(zip(sites, outcomes)), *_qm_ratio(sites, outcomes))
-            for outcomes in _outcome_tuples(len(sites))
-        )
-        table.append((context, _site_mask(sites), rows))
+        mask, rows = _site_mask(sites), []
+        for outcomes in _outcome_tuples(len(sites)):
+            key = _outcome_key(zip(sites, outcomes))
+            rows.append((key, *_qm_ratio(sites, outcomes), _cell_map()[mask][key]))
+        table.append((context, mask, tuple(rows)))
     return tuple(table)
 
 

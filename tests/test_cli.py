@@ -541,6 +541,19 @@ def test_failed_verification_document_is_pinned(capsys, tmp_path, m3):
     )
 
 
+def test_per_state_document_outputs_are_pinned(capsys):
+    """A per-state document (family sizes 1 to 4, AC and DM failures): its `verify` and
+    `probs` JSON, captured before the context table was filled in one packed pass."""
+    model = str(DATA / "per_state_model.json")
+    for argv, want, name in (
+        (("verify", model), 1, "per_state_verify.json"),
+        (("probs", model, "x1,y2,y3"), 0, "per_state_probs_x1_y2_y3.json"),
+    ):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == want, name
+        assert out.encode() == (DATA / name).read_bytes(), name
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "states.json"
     code, out, _ = run(capsys, "states", "--format", "json", "--output", str(target))

@@ -6,12 +6,13 @@ reference that walks ``Model.pairs()`` with ``Fraction`` weights and builds
 are per-state (non-uniform), with family sizes 1 to 5 (so the common weight
 denominator reaches 128 * 60), z-only and all-undetected d-distributions, and
 all-detected d-distributions injected into up to eight states.  The uniform
-models hold one drawn family per partition class, so their context table is
-summed from the class outcome histograms; each is built from its 8 families
-(one family object per class) and from a state map of equal but distinct
-families, and again with one state's family swapped, which takes the per-state
-route.  A class-built model holds only its families: its views are checked
-before, and without, its 128 slots being stored.  The reproduction report's
+models hold one drawn family per partition class; each is built from its 8
+families (one family object per class) and from a state map of equal but
+distinct families, and again with one state's family swapped, which loses the
+uniformity probe.  On every model the 343 context-table cells are checked
+against the per-pair masses, and a document whose family sizes are the primes 2
+to 47 makes cells wider than 64 bits.  A class-built model holds only its
+families: its views are checked before, and without, its 128 slots being stored.  The reproduction report's
 triad events, read from the context table, are checked against one
 ``conditional_probability`` call per outcome triple.  ``verify_dm``, which checks
 a uniform model's class families once, is checked against ``slot_verify_dm``, the
@@ -20,6 +21,7 @@ walk over all 128 slots.
 
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -46,7 +48,6 @@ from ghzlocal import (
     OutcomeAssignment,
     m_specification,
     outcome_assignments,
-    partition_classes,
     qm_probability,
     search_models,
     to_combination,
@@ -56,8 +57,7 @@ from ghzlocal import (
 )
 from ghzlocal import builtin
 from ghzlocal.models import (
-    AcFailure, DmFailure, VerificationReport, _ac_table, _class_outcomes, _detecting, _site_mask, _within,
-    mspec_occurrences,
+    AcFailure, DmFailure, VerificationReport, _ac_table, _ContextTable, _detecting, _site_mask, mspec_occurrences,
 )
 from ghzlocal.serialize import model_from_json, model_to_json
 from ghzlocal.state_space import _state_classes
@@ -96,6 +96,16 @@ def random_models(draw) -> Model:
     return Model.from_state_map(
         "random", {s: [ddist(m) for m in family] for s, family in zip(STATES, families)}
     )
+
+
+def cell_of(assign: OutcomeAssignment) -> int:
+    """The context-table cell of an outcome assignment: per particle 0 for no site, else
+    1 + 2 * axis (x, y, z = 0, 1, 2) + 1 where the outcome is -1, the first particle
+    most significant in base 7."""
+    options = [0, 0, 0]
+    for site, value in assign.items():
+        options[site.index // 3] = 1 + 2 * (site.index % 3) + (value < 0)
+    return 49 * options[0] + 7 * options[1] + options[2]
 
 
 def reference(model: Model) -> dict:
@@ -150,6 +160,10 @@ def reference(model: Model) -> dict:
 
 def check_against_reference(model: Model) -> None:
     ref = reference(model)
+    table = model._contexts  # cell 0 holds all the weight, each other cell one assignment's mass
+    assert table.cells[0] == table.scale and len(table.cells) == 343
+    for assign, mass in ref["masses"].items():
+        assert Fraction(table.cells[cell_of(assign)], table.scale) == mass, assign
     ac = verify_ac(model)
     assert (ac.failures, ac.skipped) == ref["ac"]
     assert verify_dm(model).failures == ref["dm"]
@@ -179,20 +193,22 @@ def test_core_matches_fraction_loops_on_random_models(model):
 
 def test_ac_table_rows_are_the_state_vector_probabilities():
     """The premise of verify_ac's integer table: per context, in order, each row is
-    one outcome assignment's key and its qm_probability as (numerator, denominator)."""
+    one outcome assignment's key, its qm_probability as (numerator, denominator) and
+    its context-table cell; the 342 rows hold the 342 nonempty cells."""
     table = _ac_table()
     assert [context for context, _, _ in table] == enumerate_contexts()
-    rows = 0
+    cells = []
     for context, mask, context_rows in table:
         assert mask == _site_mask(context.sites)
         assigns = outcome_assignments(context)
         assert len(context_rows) == len(assigns)
-        for (key, numerator, denominator), assign in zip(context_rows, assigns):
+        for (key, numerator, denominator, cell), assign in zip(context_rows, assigns):
             assert key == sum(1 << site.index for site, v in assign.items() if v < 0)
             expected = qm_probability(OutcomeAssignment(context, assign.outcomes))
             assert Fraction(numerator, denominator) == expected
-            rows += 1
-    assert rows == 342
+            assert cell == cell_of(assign)
+            cells.append(cell)
+    assert sorted(cells) == list(range(1, 343))
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -213,6 +229,21 @@ def test_ac_failures_match_one_qm_call_per_assignment(model):
 )
 def test_core_matches_fraction_loops_on_fixed_models(fixture, request):
     check_against_reference(request.getfixturevalue(fixture))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def test_core_matches_fraction_loops_on_wide_cells():
+    """Fifteen states whose family sizes are the primes 2 to 47, the rest of size 1: the
+    scale 128 * lcm exceeds 2^64, so the cells are unpacked without a fixed-width view."""
+    document = model_to_json(model_m3())
+    for i, entry in enumerate(document["states"]):
+        size = PRIMES[i] if i < len(PRIMES) else 1
+        entry["ddists"] = [list(ddist((37 * i + 11 * k) % 512).flags) for k in range(size)]
+    model = model_from_json(document)
+    assert model._contexts.scale > 2**64
+    check_against_reference(model)
 
 
 @st.composite
@@ -298,27 +329,20 @@ def test_triad_events_match_conditional_probabilities_on_uniform_models(models):
         assert builtin._triad_events(model) == triad_events_reference(model)
 
 
-def test_class_outcomes_count_the_class_states():
-    """The premise of the class route: per class and context, the shared histogram
-    is the count of the class's 16 states by their outcome on the context."""
-    for element in PartitionElement:
-        for context in enumerate_contexts():
-            direct = Counter(
-                sum(1 << site.index for site in context.sites if state.values[site.index] < 0)
-                for state in partition_classes()[element]
-            )
-            assert dict(_class_outcomes(element, _site_mask(context.sites))) == direct
-
-
-def test_within_lists_the_contexts_inside_each_detect_mask():
-    """The premise of the one-walk context table: a pair with detect mask d adds to exactly
-    the contexts whose sites d detects, so ``_within(d)`` is the brute-force filter of the
-    63 context masks, and ``_within(511)`` is all of them."""
-    contexts = sorted(_site_mask(context.sites) for context in enumerate_contexts())
-    assert len(set(contexts)) == 63
-    assert list(_within(ALL_DETECTED)) == contexts
+def test_a_pair_fills_the_cells_of_the_contexts_it_detects():
+    """The premise of the one-pass context table: a lone pair with detect mask d and sign mask
+    s fills the empty cell and, for exactly the contexts whose sites d detects (the brute-force
+    filter of the 63 context masks), the cell of the outcome ``s & mask``, each with its weight."""
+    contexts = [(_site_mask(context.sites), context) for context in enumerate_contexts()]
+    assert len({mask for mask, _ in contexts}) == 63
     for detect in range(ALL_DETECTED + 1):
-        assert list(_within(detect)) == [mask for mask in contexts if detect & mask == mask], detect
+        for signs in {0, detect, detect & 0b101010101, detect & 0b011001110}:
+            filled = {0} | {
+                cell_of(OutcomeAssignment(context, tuple(-1 if signs >> s.index & 1 else +1 for s in context.sites)))
+                for mask, context in contexts if detect & mask == mask
+            }
+            lone = SimpleNamespace(_lcm=1, _mspecs=(None, {detect << 9 | signs: 1}))
+            assert _ContextTable(lone).cells == [int(cell in filled) for cell in range(343)], (detect, signs)
 
 
 def slot_free_views(model: Model) -> list:
