@@ -187,12 +187,17 @@ class Model(_Value):
     def __init__(
         self, name: str, assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
     ) -> None:
-        assignment = tuple(assignment)
-        if [state for state, _ in assignment] != enumerate_ghz_microstates():
+        assignment, shared = tuple(assignment), _state_classes()
+        # a slot whose state is not the shared state at its place is left out, so the count shows it
+        slots = tuple(
+            (state, _canonical_family(f, state))
+            for (state, f), (ref, _) in zip(assignment, shared) if state is ref or state == ref
+        )
+        if not len(slots) == len(assignment) == len(shared):
             raise ValueError(
                 "model must assign all 128 GHZ-compatible microstates in canonical order"
             )
-        self._set(name, tuple((state, _canonical_family(f, state)) for state, f in assignment))
+        self._set(name, slots)
 
     @classmethod
     def from_state_map(

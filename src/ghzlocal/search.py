@@ -12,19 +12,21 @@ All states of E detect C with one weight w_E(C), which DM sets to 0 on E's
 violated triads, so P(o | C detected) = sum_E w_E(C)*16*qm(o) / sum_E w_E(C)*16
 = qm(o).  The search is therefore the plain product of the per-class family
 lists; ``test_class_counts_match_qm_off_violated_triads`` in tests/test_search.py
-guards the lemma.  Each search walks the pool's site sets once, as 9-bit masks in
-site-label order, each with its d-distribution, and ranks them per class: a mask
-hits a triad when its bits meet the triad's, and candidates are ordered by how
-redundantly they cover the violated triads (ties kept in label order), so
-maximal-coverage models stream first and bounded prefixes are meaningful.  Each
-family is canonicalised once, where the product generates it; identical specs
-always produce identical streams.
+guards the lemma.  A class's candidates are a process-wide table keyed by (class,
+failure count, pool): each (failure count, pool) walks its site sets once per process,
+as 9-bit masks in label order with their d-distributions, and each class ranks that
+walk once.  A mask hits a triad when its bits meet the triad's; candidates go by how
+redundantly they cover the violated triads (ties in label order), so maximal-coverage
+models stream first and bounded prefixes are meaningful.  Each search regenerates its
+families, canonicalising each once where the product generates it: a stream depends
+on its spec alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .models import (
@@ -103,23 +105,27 @@ class SearchSpec(_Value):
 _LABELS = tuple(s.label for s in SITES)  # by site index: the masks' tie-break keys
 
 
-def _masks(spec: SearchSpec) -> dict[int, DDistribution]:
+@lru_cache(maxsize=20)  # one walk per (failure count, pool)
+def _masks(failure_count: int, z_always_detected: bool) -> tuple[tuple[int, DDistribution], ...]:
     """Every set of ``failure_count`` pool sites as a 9-bit int, bit i set for site i
-    undetected, with its d-distribution, in order of the site labels: one walk per search."""
-    pool = XY_SITES if spec.z_always_detected else SITES
+    undetected, with its d-distribution, in order of the site labels."""
+    pool = XY_SITES if z_always_detected else SITES
     keyed = sorted(
         (tuple(_LABELS[s.index] for s in sites), sum(1 << s.index for s in sites), sites)
-        for sites in itertools.combinations(pool, spec.failure_count or 0)
+        for sites in itertools.combinations(pool, failure_count)
     )
-    return {bits: DDistribution.with_undetected(sites) for _, bits, sites in keyed}
+    return tuple((bits, DDistribution.with_undetected(sites)) for _, bits, sites in keyed)
 
 
-def _ranked(element: PartitionElement, masks: dict[int, DDistribution]) -> list[DDistribution]:
+@lru_cache(maxsize=160)  # one ranking per (class, failure count, pool)
+def _ranked(
+    element: PartitionElement, failure_count: int, z_always_detected: bool
+) -> tuple[DDistribution, ...]:
     """The d-distributions of the masks that hit each triad the class violates, by
     descending coverage of those triads; the sort is stable, so ties keep label order."""
     violated = [t.mask for t in element.violated]
-    coverage = {}
-    for bits in masks:
+    coverage = []
+    for bits, ddist in _masks(failure_count, z_always_detected):
         total = 0
         for triad in violated:
             hits = (bits & triad).bit_count()
@@ -127,30 +133,30 @@ def _ranked(element: PartitionElement, masks: dict[int, DDistribution]) -> list[
                 break
             total -= hits
         else:
-            coverage[bits] = total
-    return [masks[bits] for bits in sorted(coverage, key=coverage.__getitem__)]
+            coverage.append((total, ddist))
+    coverage.sort(key=lambda pair: pair[0])
+    return tuple(ddist for _, ddist in coverage)
 
 
 def _candidates(
-    element: PartitionElement, spec: SearchSpec, masks: dict[int, DDistribution]
-) -> tuple[list[DDistribution], range]:
-    """The class's candidates, ranked from the search's one walk, and its range of family
-    sizes; a starred class under the escape has the one all-undetected candidate."""
+    element: PartitionElement, spec: SearchSpec
+) -> tuple[tuple[DDistribution, ...], range]:
+    """The class's ranked candidates and its range of family sizes; a starred class under
+    the escape has the one all-undetected candidate."""
     if spec.star_elements_all_undetected and element.is_starred:
-        return [DDistribution.all_undetected()], range(1, 2)
-    # a list: held as tuples, the candidates raised a long search loop's peak RSS
-    ddists = _ranked(element, masks)
+        return (DDistribution.all_undetected(),), range(1, 2)
+    ddists = _ranked(element, spec.failure_count, spec.z_always_detected)
     lo, hi = spec.ddists_per_state or (1, len(ddists))
     return ddists, range(lo, min(hi, len(ddists)) + 1)
 
 
 def _products(
-    classes: list[tuple[PartitionElement, list[DDistribution], range]],
+    classes: list[tuple[PartitionElement, tuple[DDistribution, ...], range]],
     prefix: tuple[tuple[DDistribution, ...], ...] = (),
 ) -> Iterator[tuple[tuple[DDistribution, ...], ...]]:
     """Lazy Cartesian product of the classes' canonical families after ``prefix``, first class
     outermost; a class's families (size-major, then combinations order) are regenerated and
-    canonicalised per prefix from its one ``_candidates`` list, never materialised."""
+    canonicalised per prefix from its ``_candidates``, never materialised."""
     (element, ddists, sizes), rest = classes[0], classes[1:]
     for size in sizes:
         for family in itertools.combinations(ddists, size):
@@ -170,8 +176,7 @@ def search_models(spec: SearchSpec) -> Iterator[Model]:
     """
     spec.validate()
     elements = list(PartitionElement)
-    masks = _masks(spec)
-    classes = [(element, *_candidates(element, spec, masks)) for element in elements]
+    classes = [(element, *_candidates(element, spec)) for element in elements]
     # Probe feasibility up front so an unsatisfiable class cannot hide behind
     # a combinatorially large prefix of satisfiable ones.
     if not all(sizes for _, _, sizes in classes):

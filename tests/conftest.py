@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import Phase, settings
 
 from ghzlocal import (
     DDistribution,
@@ -8,6 +9,11 @@ from ghzlocal import (
     model_m2,
     model_m3,
 )
+
+# `pytest --hypothesis-profile mutants` reports a failing example without shrinking it:
+# against a broken copy of the code, shrinking each failure takes minutes, and a mutant
+# check needs only to see that a test fails.  The default profile is unchanged.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 @pytest.fixture(scope="session")

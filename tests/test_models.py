@@ -1,6 +1,7 @@
 """Model calculus: m-specifications, the three probabilities, verification, combinations."""
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -322,9 +323,13 @@ def test_model_requires_full_state_coverage():
     # the constructor itself insists on every state, in canonical order
     states = enumerate_ghz_microstates()
     family = (DDistribution.all_detected(),)
-    for order in (states[::-1], states[1:], [states[1], states[0], *states[2:]]):
+    for order in (states[::-1], states[1:], [states[1], states[0], *states[2:]], states + states[:1]):
         with pytest.raises(ValueError):
             Model("out-of-order", tuple((s, family) for s in order))
+    # the order is checked by equality: states equal to the shared ones, not them, pass
+    fresh = [MicroState(s.values) for s in states]
+    assert not any(map(operator.is_, fresh, states))
+    assert Model("m", tuple((s, family) for s in fresh)) == Model("m", tuple((s, family) for s in states))
 
 
 def test_model_rejects_empty_family():

@@ -23,7 +23,7 @@ from ghzlocal import (
     verify_dm,
 )
 from ghzlocal import search
-from ghzlocal.search import _masks, _ranked
+from ghzlocal.search import _ranked
 from ghzlocal.state_space import SITES, XY_SITES, PartitionElement
 
 
@@ -38,7 +38,7 @@ def feasible_masks(element, spec):
     """The class's DM-feasible undetected-site masks as the search ranks them: exactly
     ``failure_count`` sites, each violated triad hit at least once; by descending
     violated-triad coverage, then by site labels."""
-    return [dd.undetected_sites for dd in _ranked(element, _masks(spec))]
+    return [dd.undetected_sites for dd in _ranked(element, spec.failure_count, spec.z_always_detected)]
 
 
 def test_spec_must_be_bounded():
@@ -216,6 +216,11 @@ def test_feasible_masks_match_site_reference(failure_count, z_always_detected):
         assert feasible_masks(element, spec) == _reference_masks(element, spec), element
 
 
+def _clear_candidate_tables():
+    search._masks.cache_clear()
+    search._ranked.cache_clear()
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -226,30 +231,68 @@ def test_feasible_masks_match_site_reference(failure_count, z_always_detected):
     ids=["fc2-first-model", "fc2-many-prefixes", "fc1-starred-escape"],
 )
 def test_candidates_are_computed_once_per_class_per_search(spec, monkeypatch):
-    # one walk of the masks and one ranking per searched class for each call, never one
-    # per prefix; a second call walks again, so nothing is kept across searches
-    walks, rankings = [], Counter()
-    masks, ranked = search._masks, search._ranked
+    # the candidates are a process-wide table keyed by (class, failure count, pool): from a
+    # cleared table, two calls of one spec make one walk of the masks and one ranking per
+    # searched class in total, never one per prefix, and a spec that differs only in its
+    # pool walks exactly once more
+    _clear_candidate_tables()
+    calls, ranked = Counter(), search._ranked
 
-    def counting_walk(search_spec):
-        walks.append(search_spec)
-        return masks(search_spec)
+    def counting_rank(element, failure_count, z_always_detected):
+        calls[element] += 1
+        return ranked(element, failure_count, z_always_detected)
 
-    def counting_rank(element, pool_masks):
-        rankings[element] += 1
-        return ranked(element, pool_masks)
-
-    monkeypatch.setattr(search, "_masks", counting_walk)
     monkeypatch.setattr(search, "_ranked", counting_rank)
-    searched = Counter(
+    searched = [
         el for el in PartitionElement
         if not (spec.star_elements_all_undetected and el.is_starred)
-    )
+    ]
     for call in (1, 2):
         models = list(search_models(spec))
         assert len(models) == spec.limit
-        assert walks == [spec] * call
-        assert rankings == Counter({el: call * n for el, n in searched.items()})
+        assert calls == Counter({el: call for el in searched})
+        assert search._masks.cache_info().misses == 1
+        assert ranked.cache_info().misses == len(searched)
+    fields = dict(zip(SearchSpec._fields, spec._astuple()))
+    other_pool = SearchSpec(**{**fields, "z_always_detected": not spec.z_always_detected})
+    list(search_models(other_pool))
+    assert search._masks.cache_info().misses == 2
+    assert ranked.cache_info().misses == 2 * len(searched)
+
+
+def _stream(spec):
+    return [(m.name, m._families) for m in search_models(spec)]
+
+
+def _fresh_streams(specs):
+    """Each spec's stream from a cleared candidate table."""
+    fresh = {}
+    for spec in specs:
+        _clear_candidate_tables()
+        fresh[spec] = _stream(spec)
+    return fresh
+
+
+def test_a_stream_does_not_depend_on_the_searches_before_it():
+    # the premise of keeping the candidate table for the process: a stream equals its fresh
+    # stream whatever ran before it, for the benchmark's three profiles in two orders, and
+    # for neighbours that differ only in failure count or only in the pool
+    profiles = [
+        SearchSpec(failure_count=3, ddists_per_state=1, limit=200),
+        SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=200),
+        SearchSpec(failure_count=1, star_elements_all_undetected=True, limit=200),
+    ]
+    pool_major = [
+        SearchSpec(failure_count=fc, z_always_detected=z, limit=3)
+        for z in (True, False) for fc in range(10)
+    ]
+    count_major = sorted(pool_major, key=lambda spec: spec.failure_count)
+    fresh = _fresh_streams(profiles + pool_major)
+    assert sum(map(bool, fresh.values())) == 3 + 5 + 8  # fc 2-6 on the x/y pool, 2-9 on all sites
+    for order in (profiles, profiles[::-1], pool_major, count_major):
+        _clear_candidate_tables()
+        for spec in order:
+            assert _stream(spec) == fresh[spec], spec
 
 
 @pytest.mark.parametrize(
