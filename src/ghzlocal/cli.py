@@ -3,7 +3,7 @@
 Subcommands: states, verify, probs, combinations, search, reproduce, export.
 Exit codes: 0 success, 1 verification failed, 2 usage error, 3 I/O or parse
 error.  Output is a human table by default; --format json (and, for
-combinations, csv) switches to the machine schemas.
+combinations, csv) switches to the machine schemas.  export writes only JSON.
 """
 
 from __future__ import annotations
@@ -377,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("selector", help="M3, M1 or M2")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("export", parents=[table_json], help="write a model as JSON")
+    p = sub.add_parser("export", parents=[common], help="write a model as JSON")
     p.add_argument("model")
+    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_export)
     return parser
 

@@ -5,12 +5,12 @@ of detection distributions (d-distributions): D/U flags for all nine sites.
 Probabilities follow the uniform double average, 1/128 per state and 1/d per
 d-distribution within a state.
 
-A model built from its 8 class families holds those families and its name; the
-128 per-state slots are derived only when a per-state reader asks for them.  Every
-model carries one uniformity probe, its 8 class families or None.  On a uniform
-model detection masking checks each class family once, so its cost is set by the
-families, not by the 128 states; the m-specification histogram walks the slots,
-derived from the families without being stored.
+A model built from its 8 class families holds those families and its name; its 128
+per-state slots are stored only when a per-state reader asks for them, and the bulk
+views walk them unstored.  A model built from a document or a state map holds its
+slots.  Detection masking is read from the context table: a pair that breaks it
+lands in one of the 16 cells of the four triad contexts whose GHZ probability is 0,
+so only a model with weight there walks its slots, to list its failures.
 
 Bulk queries read integer views of the model, cached on the instance.  A pair
 (state, d-distribution) is the state's 9-bit sign mask (bit i set where the value
@@ -173,16 +173,17 @@ def _canonical_family(family: Iterable[DDistribution], where: object) -> tuple[D
 class Model(_Value):
     """A complete model: every GHZ-compatible state mapped to its d-distributions.
 
-    The constructor takes the 128 (state, family) slots of a document or of
+    The constructor takes and holds the 128 (state, family) slots of a document or of
     ``from_state_map``; ``from_element_families`` takes and holds the 8 class
-    families, and derives the slots on first read; the search stores the families it
-    has canonicalised through the same ``_stored`` step.  All store each family by the
-    one rule of ``_canonical_family``, and equality and hash are those of
-    ``(name, assignment)``.  The state prior is uniform 1/128 and each family is
-    uniform 1/len(family).
+    families in ``_families``, and derives the slots on first read; the search stores
+    the families it has canonicalised through the same ``_stored`` step.  All store
+    each family by the one rule of ``_canonical_family``, and equality and hash are
+    those of ``(name, assignment)``.  The state prior is uniform 1/128 and each family
+    is uniform 1/len(family).
     """
 
     _fields = ("name", "assignment")
+    _families: Optional[dict[PartitionElement, tuple[DDistribution, ...]]] = None  # set by ``_stored`` only
 
     def __init__(
         self, name: str, assignment: tuple[tuple[MicroState, tuple[DDistribution, ...]], ...]
@@ -235,7 +236,7 @@ class Model(_Value):
         return tuple(self._slots())
 
     def _slots(self) -> Iterable[tuple[MicroState, tuple[DDistribution, ...]]]:
-        """The slots, read from the families of a uniform model without storing them."""
+        """The slots in state order: a class model's read from its families, unstored."""
         families = self._families
         if families is None:
             return self.assignment
@@ -250,17 +251,6 @@ class Model(_Value):
     @cached_property
     def _family_map(self) -> dict[MicroState, tuple[DDistribution, ...]]:
         return dict(self.assignment)
-
-    @cached_property
-    def _families(self) -> Optional[dict[PartitionElement, tuple[DDistribution, ...]]]:
-        """The uniformity probe: the 8 class families in PartitionElement order, or None if the
-        states of a class differ.  Set by the class build, else read once from the slots, each
-        compared with its class's first family (identity or equality)."""
-        first: dict[PartitionElement, tuple[DDistribution, ...]] = {}
-        for (_, family), (_, element) in zip(self.assignment, _state_classes()):
-            if first.setdefault(element, family) != family:
-                return None
-        return {element: first[element] for element in PartitionElement}
 
     @cached_property
     def _lcm(self) -> int:
@@ -295,12 +285,16 @@ class Model(_Value):
                 yield state, ddist, share
 
     def element_families(self) -> dict[PartitionElement, tuple[DDistribution, ...]]:
-        """Per-class families; raises if states of one class differ (non-uniform model)."""
-        if self._families is None:
-            classes = partition_classes().items()
-            element = next(el for el, states in classes if len(set(map(self.family, states))) > 1)
-            raise ValueError(f"model {self.name!r} is not uniform on {element.value}")
-        return dict(self._families)
+        """Per-class families, read from the slots unless held; raises if a class's states differ."""
+        if self._families is not None:
+            return dict(self._families)
+        found: dict[PartitionElement, set[tuple[DDistribution, ...]]] = {el: set() for el in PartitionElement}
+        for (_, family), (_, element) in zip(self.assignment, _state_classes()):
+            found[element].add(family)
+        for element, families in found.items():
+            if len(families) > 1:
+                raise ValueError(f"model {self.name!r} is not uniform on {element.value}")
+        return {element: families.pop() for element, families in found.items()}
 
     def __repr__(self) -> str:
         return f"Model(name={self.name!r}, states={N_STATES})"
@@ -408,7 +402,7 @@ def detection_probability(
         return Fraction(table[mask][0], table.scale)
     if not isinstance(restrict, PartitionElement):
         families = [model.family(restrict)]
-    elif model._families is not None:  # one family for the whole class: its average is the family's
+    elif model._families is not None:  # a class model: the class average is its family's
         families = [model._families[restrict]]
     else:
         families = [model.family(state) for state in partition_classes()[restrict]]
@@ -542,7 +536,7 @@ def verify_ac(model: Model) -> VerificationReport:
         for key, numerator, denominator, cell in rows:
             n = cells[cell]
             if n * denominator != numerator * detected:
-                assign, expected = _ac_expected(mask, key)
+                assign, expected = _ac_expected(mask, key, numerator, denominator)
                 failures.append(AcFailure(context, assign, expected, Fraction(n, detected)))
     return VerificationReport("ac", tuple(failures), tuple(skipped))
 
@@ -565,34 +559,38 @@ def _ac_table() -> tuple[tuple[MeasurementContext, int, tuple[tuple[int, int, in
 
 
 @lru_cache(maxsize=342)  # one entry per outcome assignment, built at its first failure
-def _ac_expected(mask: int, key: int) -> tuple[OutcomeAssignment, Fraction]:
-    """The outcome assignment of an ``_ac_table`` row and its quantum probability."""
-    from .qm import OutcomeAssignment, qm_probability
+def _ac_expected(mask: int, key: int, numerator: int, denominator: int) -> tuple[OutcomeAssignment, Fraction]:
+    """The outcome assignment of an ``_ac_table`` row and its quantum probability, the row's ratio."""
+    from .qm import OutcomeAssignment
     context = MeasurementContext(tuple(s for s in SITES if mask >> s.index & 1))
     assign = OutcomeAssignment(context, tuple(-1 if key >> s.index & 1 else +1 for s in context.sites))
-    return assign, qm_probability(assign)
+    return assign, Fraction(numerator, denominator)
 
 
 def verify_dm(model: Model) -> VerificationReport:
     """Detection masking: a state violating a triad constraint must leave at
     least one site of that triad undetected, in every d-distribution.
 
-    A uniform model checks each class family once and lists a failing class's failures
-    for each of its states, so failures come in state order on either route."""
-    families = model._families
-    if families is None:
-        found = [_dm_hits(element, family) for (_, family), (_, element) in zip(model.assignment, _state_classes())]
-    else:
-        by_class = {element: _dm_hits(element, family) for element, family in families.items()}
-        found = [by_class[element] for _, element in _state_classes()] if any(by_class.values()) else []
+    Such a pair, and only such a pair, puts weight in one of the ``_dm_cells()``, so a
+    model whose context table is 0 there passes; a failing model's slots are walked to
+    list the failures in state order, then triad order, then family order."""
+    cells = model._contexts.cells
+    if not any([cells[cell] for cell in _dm_cells()]):
+        return VerificationReport("dm", ())
     return VerificationReport("dm", tuple(
-        DmFailure(state, ddist, triad) for (state, _), hits in zip(_state_classes(), found) for triad, ddist in hits
+        DmFailure(state, ddist, triad)
+        for (state, family), (_, element) in zip(model._slots(), _state_classes())
+        for triad in element.violated for ddist in _detecting(family, triad.mask)
     ))
 
 
-def _dm_hits(element: PartitionElement, family: tuple[DDistribution, ...]) -> list[tuple[Triad, DDistribution]]:
-    """(violated triad, d-distribution detecting it) pairs, in triad order, then family order."""
-    return [(triad, ddist) for triad in element.violated for ddist in _detecting(family, triad.mask)]
+@lru_cache(maxsize=1)
+def _dm_cells() -> tuple[int, ...]:
+    """The 16 cells, 4 per triad, whose outcome key breaks the triad's required sign."""
+    return tuple(
+        cell for triad in Triad for key, cell in _cell_map()[triad.mask].items()
+        if (-1) ** bin(key).count("1") != triad.required_sign
+    )
 
 
 def is_deterministic(model: Model) -> bool:

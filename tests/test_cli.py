@@ -281,7 +281,7 @@ def test_csv_unsupported_elsewhere(capsys):
 def test_help_names_the_formats_the_command_writes(capsys, command):
     code, out, _ = run(capsys, command, "-h")
     assert code == 0
-    formats = "table,json,csv" if command == "combinations" else "table,json"
+    formats = {"combinations": "table,json,csv", "export": "json"}.get(command, "table,json")
     assert set(re.findall(r"--format \{([a-z,]+)\}", out)) == {formats}
 
 
@@ -509,6 +509,13 @@ def test_export_is_the_script_model_file(capsys, selector):
     code, out, _ = run(capsys, "export", selector)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MODEL_SHA256[f"{selector.lower()}_model.json"]
+
+
+def test_export_writes_only_json(capsys):
+    assert run(capsys, "export", "M3", "--format", "json")[:2] == run(capsys, "export", "M3")[:2]
+    code, out, err = run(capsys, "export", "M3", "--format", "table")
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice: 'table'" in err
 
 
 # sha256 of JSON documents that no file in tests/data holds, pinned from the text

@@ -8,15 +8,16 @@ denominator reaches 128 * 60), z-only and all-undetected d-distributions, and
 all-detected d-distributions injected into up to eight states.  The uniform
 models hold one drawn family per partition class; each is built from its 8
 families (one family object per class) and from a state map of equal but
-distinct families, and again with one state's family swapped, which loses the
-uniformity probe.  On every model the 343 context-table cells are checked
+distinct families, and again with one state's family swapped, which makes it
+non-uniform.  On every model the 343 context-table cells are checked
 against the per-pair masses, and a document whose family sizes are the primes 2
 to 47 makes cells wider than 64 bits.  A class-built model holds only its
 families: its views are checked before, and without, its 128 slots being stored.  The reproduction report's
 triad events, read from the context table, are checked against one
-``conditional_probability`` call per outcome triple.  ``verify_dm``, which checks
-a uniform model's class families once, is checked against ``slot_verify_dm``, the
-walk over all 128 slots.
+``conditional_probability`` call per outcome triple.  ``verify_dm``, which reads its
+verdict from the 16 detection-masking cells of the context table and walks the slots
+of a failing model only, is checked against ``slot_verify_dm``, the walk over all 128
+slots, and its cells against the zero-probability rows of the four triad contexts.
 """
 
 from collections import Counter
@@ -55,9 +56,10 @@ from ghzlocal import (
     verify_ac,
     verify_dm,
 )
-from ghzlocal import builtin
+from ghzlocal import builtin, models
 from ghzlocal.models import (
-    AcFailure, DmFailure, VerificationReport, _ac_table, _ContextTable, _detecting, _site_mask, mspec_occurrences,
+    AcFailure, DmFailure, VerificationReport, _ac_table, _ContextTable, _detecting, _dm_cells, _site_mask,
+    mspec_occurrences,
 )
 from ghzlocal.serialize import model_from_json, model_to_json
 from ghzlocal.state_space import _state_classes
@@ -291,10 +293,13 @@ def test_core_matches_fraction_loops_on_uniform_models(models):
     for model in models:
         check_against_reference(model)
         check_class_restrictions(model)
-    # uniformity is read from the slots: by identity, by equality, and lost by one state
+    # the class build holds its families; a state-map model holds none and reads them from
+    # its slots when asked, equal to the class build's, or lost by one state
     assert by_class._families is not None
-    assert by_state._families == by_class._families
-    assert swapped._families is None
+    assert by_state._families is None and swapped._families is None
+    assert by_state.element_families() == by_class.element_families()
+    with pytest.raises(ValueError, match="not uniform on"):
+        swapped.element_families()
 
 
 def triad_events_reference(model: Model) -> dict:
@@ -392,9 +397,9 @@ def test_class_views_match_fraction_loops_without_slots(models):
     check_class_views(by_class.element_families())
     for model in models:
         assert is_deterministic(model) == all(len(family) == 1 for _, family in model.assignment)
-    # the probe: the class build sets it, the slots give it once, whatever built the model
-    assert by_class._families == by_state._families == by_class.element_families()
-    assert swapped._families is None
+    # the class build sets the families; a state-map model holds none and reads them from its slots
+    assert by_class._families == by_class.element_families() == by_state.element_families()
+    assert by_state._families is None and swapped._families is None
     with pytest.raises(ValueError, match="not uniform on"):
         swapped.element_families()
 
@@ -419,7 +424,7 @@ def test_class_views_list_dm_failures_in_state_order():
 
 def slot_verify_dm(model: Model) -> VerificationReport:
     """``verify_dm`` walking the 128 slots, each with its class's violated triads: the
-    oracle of the class route, which checks each class family once."""
+    oracle of the verdict read from the context table, and of the failures listed."""
     failures = []
     for (state, family), (_, element) in zip(model.assignment, _state_classes()):
         for triad in element.violated:
@@ -431,7 +436,7 @@ def slot_verify_dm(model: Model) -> VerificationReport:
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models=uniform_models())
 def test_dm_class_route_matches_the_slot_walk_on_drawn_families(models):
-    # the class-built and state-map models take the class route, the swapped one the slots
+    # the class-built model walks its families, the state-map and swapped ones their slots
     for model in models:
         assert verify_dm(model) == slot_verify_dm(model)
 
@@ -442,6 +447,45 @@ def test_dm_class_route_matches_the_slot_walk():
     for model in [model_m3(), model_m1(), model_m2(), *fixed, *searched]:
         assert verify_dm(model) == slot_verify_dm(model), model.name
     assert all(len(verify_dm(model).failures) > 128 for model in fixed)
+
+
+def test_dm_cells_are_the_zero_probability_rows_of_the_triads():
+    """The premise of the DM verdict: a pair detecting a triad lands in one of its 8 outcome
+    cells, and the 4 that break its required sign are the ones of GHZ probability 0."""
+    triads = {triad.mask for triad in Triad}
+    zero = {cell for _, mask, rows in _ac_table() if mask in triads for _, numerator, _, cell in rows if numerator == 0}
+    assert len(_dm_cells()) == len(set(_dm_cells())) == 16
+    assert set(_dm_cells()) == zero
+
+
+@pytest.mark.parametrize("element", list(PartitionElement), ids=lambda element: element.value)
+def test_one_exposed_state_fails_dm_on_exactly_its_violated_triads(element):
+    """M3 with one state of the class detecting all nine sites: DM fails once per triad the
+    state violates (one for a triple class, whose triad's cells alone decide the verdict;
+    three for a starred class), and nowhere else."""
+    state = next(state for state, el in _state_classes() if el is element)
+    slots = dict(model_m3().assignment)
+    slots[state] = (DDistribution.all_detected(),)
+    model = Model.from_state_map("exposed", slots)
+    report = verify_dm(model)
+    assert [(f.state, f.ddist, f.triad) for f in report.failures] == [
+        (state, DDistribution.all_detected(), triad) for triad in element.violated
+    ]
+    assert len(report.failures) == (3 if element.value.endswith("0") else 1)
+    assert report == slot_verify_dm(model)
+
+
+def test_a_passing_model_does_not_walk_its_slots(monkeypatch):
+    """A model with no weight in the DM cells passes from its context table alone: with the
+    per-family detecting filter broken, M3, M1, M2 and a document model still pass."""
+    passing = [model_m3(), model_m1(), model_m2(), model_from_json(model_to_json(model_m2()))]
+
+    def broken(family, mask):
+        raise AssertionError("a passing model walked its slots")
+
+    monkeypatch.setattr(models, "_detecting", broken)
+    for model in passing:
+        assert verify_dm(model).passed, model.name
 
 
 def test_class_built_models_derive_their_slots_only_on_demand():
@@ -469,9 +513,11 @@ def test_class_built_models_derive_their_slots_only_on_demand():
 
 
 def test_document_models_probe_uniformity_without_a_state_map():
-    """A document model's probe, lcm and views walk its slots beside ``_state_classes()``:
-    only ``family()`` builds the state -> family dict.  The probe's families come in
-    PartitionElement order, not in the order the classes first occur among the states."""
+    """A document model holds no class families: its lcm, views and ``element_families()``
+    walk its slots beside ``_state_classes()``, and only ``family()`` builds the state ->
+    family dict.  Its families come in PartitionElement order, not in the order the classes
+    first occur among the states, and a non-uniform one names its first such class in that
+    order."""
     uniform = model_from_json(model_to_json(model_m2()))
     document = model_to_json(model_m3())
     first, last = document["states"][0], document["states"][-1]  # an I&II&III and an IV0 state
@@ -483,6 +529,9 @@ def test_document_models_probe_uniformity_without_a_state_map():
         assert "_family_map" not in model.__dict__, model.name
     assert list(uniform.element_families()) == list(PartitionElement)
     assert uniform.element_families() == model_m2().element_families()
-    assert swapped._families is None
+    assert uniform._families is None and swapped._families is None
+    with pytest.raises(ValueError, match="not uniform on IV0$"):  # IV0 comes before I&II&III
+        swapped.element_families()
+    assert "_family_map" not in swapped.__dict__
     swapped.family(STATES[0])
     assert "_family_map" in swapped.__dict__
