@@ -189,12 +189,6 @@ def _singles(model: Model, sites: Iterable[Site]) -> str:
     return _same((table[1 << s.index][0] for s in sites), table.scale)
 
 
-def _satisfying(triad: Triad) -> list[int]:
-    """The sign masks (bit set where -1) of the 4 outcome triples on the triad's sites whose
-    product is its required sign: those with an even, or for IV an odd, number of -1s."""
-    return [_site_mask(c) for n in range(4) if (-1) ** n == triad.required_sign for c in combinations(triad.sites, n)]
-
-
 def _triad_events(model: Model) -> dict[Triad, tuple[Fraction, bool]]:
     """Per triad, the conditional mass of its constraint event, and whether every
     satisfying outcome triple has conditional 1/4 and every other triple 0.  Read from
@@ -204,7 +198,7 @@ def _triad_events(model: Model) -> dict[Triad, tuple[Fraction, bool]]:
         detected, buckets = model._contexts[triad.mask]
         if detected == 0:
             raise UndefinedConditionalError(f"model {model.name!r} never detects context {triad.context.label}")
-        satisfying = _satisfying(triad)  # at 1/4 each they carry all the mass, the others none
+        satisfying = [key for key in buckets if triad.holds(key)]  # at 1/4 each they carry all the mass, the others none
         mass = sum(buckets[key] for key in satisfying)
         events[triad] = (Fraction(mass, detected), all(4 * buckets[key] == detected for key in satisfying))
     return events
@@ -300,7 +294,7 @@ def _m1_rows(model: Model) -> list[_Row]:
         (
             "each satisfying outcome triple occurs in 12/48 of them",
             "yes",
-            _yes(set(triples) == set(_satisfying(Triad.I)) and all(n == 12 for n in triples.values())),
+            _yes(len(triples) == 4 and all(Triad.I.holds(key) and n == 12 for key, n in triples.items())),
         ),
         *_event_rows(events, "12/48"),
         ("distinct combinations", "48", str(len(dist.masses))),

@@ -48,7 +48,9 @@ from .state_space import (
     PartitionElement,
     Site,
     Triad,
+    _STABILISER,
     _Value,
+    _site_mask,
     _state_classes,
     enumerate_contexts,
     enumerate_ghz_microstates,
@@ -300,11 +302,6 @@ class Model(_Value):
         return f"Model(name={self.name!r}, states={N_STATES})"
 
 
-def _site_mask(sites: Iterable[Site]) -> int:
-    """Bit i set for each of the (distinct) sites with index i."""
-    return sum(1 << s.index for s in sites)
-
-
 def _outcome_key(items: Iterable[tuple[Site, int]]) -> int:
     """Bit i set where the (site, sign) items put -1 on site i: a state's ``sign & C``."""
     return sum(1 << s.index for s, v in items if v < 0)
@@ -544,17 +541,19 @@ def verify_ac(model: Model) -> VerificationReport:
 @lru_cache(maxsize=1)
 def _ac_table() -> tuple[tuple[MeasurementContext, int, tuple[tuple[int, int, int, int], ...]], ...]:
     """Per context: its site mask and, per outcome assignment in ``outcome_assignments``
-    order, its outcome key, ``qm_probability`` as integers (numerator, denominator) and
-    its context-table cell."""
-    from .qm import _outcome_tuples, _qm_ratio
+    order, its outcome key, its GHZ probability as unreduced integers (numerator,
+    denominator) and its context-table cell.  The probability is the stabiliser's closed
+    form: sign * (-1)^|key & S| summed over the ``_STABILISER`` supports S within the
+    context, over 2^k for k sites."""
     table = []
     for context in enumerate_contexts():
-        sites = context.sites
-        mask, rows = _site_mask(sites), []
-        for outcomes in _outcome_tuples(len(sites)):
-            key = _outcome_key(zip(sites, outcomes))
-            rows.append((key, *_qm_ratio(sites, outcomes), _cell_map()[mask][key]))
-        table.append((context, mask, tuple(rows)))
+        mask, scale = _site_mask(context.sites), 1 << len(context.sites)
+        within = [(support, sign) for support, sign in _STABILISER if support & mask == support]
+        rows = tuple(
+            (key, sum([sign * (-1) ** (key & support).bit_count() for support, sign in within]), scale, cell)
+            for key, cell in _cell_map()[mask].items()
+        )
+        table.append((context, mask, rows))
     return tuple(table)
 
 
@@ -587,10 +586,7 @@ def verify_dm(model: Model) -> VerificationReport:
 @lru_cache(maxsize=1)
 def _dm_cells() -> tuple[int, ...]:
     """The 16 cells, 4 per triad, whose outcome key breaks the triad's required sign."""
-    return tuple(
-        cell for triad in Triad for key, cell in _cell_map()[triad.mask].items()
-        if (-1) ** bin(key).count("1") != triad.required_sign
-    )
+    return tuple(cell for triad in Triad for key, cell in _cell_map()[triad.mask].items() if not triad.holds(key))
 
 
 def is_deterministic(model: Model) -> bool:

@@ -90,20 +90,15 @@ def qm_probability(assign: OutcomeAssignment) -> Fraction:
     Computes <v|prod(I + sign*sigma)|v> / (2^m * <v|v>) with v the integer
     GHZ vector and m the number of measured sites; exact by construction.
     """
-    return Fraction(*_qm_ratio(assign.context.sites, assign.outcomes))
-
-
-def _qm_ratio(sites: tuple[Site, ...], outcomes: tuple[int, ...]) -> tuple[int, int]:
-    """``qm_probability`` of the signs on the sites as unreduced (numerator, denominator)."""
     amps = list(GHZ_AMPLITUDES)
-    for site, sign in zip(sites, outcomes):
+    for site, sign in assign.items():
         amps = _apply_eigenop(amps, site.axis, site.particle, sign)
     # <v|w> with v = e0 - e7, both entries real.
     re = amps[0][0] - amps[7][0]
     im = amps[0][1] - amps[7][1]
     if im != 0:  # pragma: no cover - projectors are Hermitian, v is real
-        raise ArithmeticError(f"non-real expectation for {MeasurementContext.label_of(sites)}")
-    return re, 2 ** len(outcomes) * GHZ_SQUARED_NORM
+        raise ArithmeticError(f"non-real expectation for {assign.context.label}")
+    return Fraction(re, 2 ** len(assign.outcomes) * GHZ_SQUARED_NORM)
 
 
 def ghz_triad_probability(triad: Triad, outcomes: tuple[int, int, int]) -> Fraction:
@@ -143,10 +138,7 @@ def rule_table_probability(assign: OutcomeAssignment) -> Fraction:
 
 
 def outcome_assignments(context: MeasurementContext) -> list[OutcomeAssignment]:
-    """All 2^n sign assignments on a context, in canonical (+1 before -1) order."""
-    return [OutcomeAssignment(context, outcomes) for outcomes in _outcome_tuples(len(context.sites))]
-
-
-def _outcome_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^n sign tuples, +1 before -1, the first site most significant."""
-    return itertools.product((+1, -1), repeat=n)
+    """All 2^n sign assignments on a context, in canonical order: +1 before -1, the
+    first site most significant."""
+    signs = itertools.product((+1, -1), repeat=len(context.sites))
+    return [OutcomeAssignment(context, outcomes) for outcomes in signs]

@@ -38,7 +38,7 @@ from .models import (
     _canonical_family,
     census,
 )
-from .state_space import SITES, XY_SITES, PartitionElement, _is_int, _Value
+from .state_space import SITES, XY_SITES, PartitionElement, _is_int, _site_mask, _Value
 
 
 class UnboundedSearchError(ValueError):
@@ -111,7 +111,7 @@ def _masks(failure_count: int, z_always_detected: bool) -> tuple[tuple[int, DDis
     undetected, with its d-distribution, in order of the site labels."""
     pool = XY_SITES if z_always_detected else SITES
     keyed = sorted(
-        (tuple(_LABELS[s.index] for s in sites), sum(1 << s.index for s in sites), sites)
+        (tuple(_LABELS[s.index] for s in sites), _site_mask(sites), sites)
         for sites in itertools.combinations(pool, failure_count)
     )
     return tuple((bits, DDistribution.with_undetected(sites)) for _, bits, sites in keyed)

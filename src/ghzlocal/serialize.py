@@ -137,6 +137,9 @@ def model_from_json(data: Any) -> Model:
     if not isinstance(data, dict):
         raise FormatError("model document must be a JSON object")
     _check_schema_version(data)
+    unknown = set(data) - {"schema_version", "name", "states"}
+    if unknown:
+        raise FormatError(f"unknown model document keys: {sorted(unknown)}")
     name = data.get("name")
     states = data.get("states")
     if not isinstance(name, str) or not isinstance(states, list):
@@ -147,8 +150,8 @@ def model_from_json(data: Any) -> Model:
         raise FormatError(f"model name {name!r} is not valid Unicode") from exc
     read: dict[int, list[DDistribution]] = {}  # keyed by sign mask, one per state
     for entry in states:
-        if not isinstance(entry, dict) or "values" not in entry or "ddists" not in entry:
-            raise FormatError(f"model state entry needs 'values' and 'ddists': {entry!r}")
+        if not isinstance(entry, dict) or len(entry) != 2 or "values" not in entry or "ddists" not in entry:
+            raise FormatError(f"model state entry needs exactly 'values' and 'ddists': {entry!r}")
         state = microstate_from_json(entry["values"])
         ddists = entry["ddists"]
         if not isinstance(ddists, list) or not ddists:

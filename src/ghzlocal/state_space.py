@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 
 class Axis(Enum):
@@ -115,6 +116,11 @@ XY_SITES: tuple[Site, ...] = tuple(s for s in SITES if s.axis is not Axis.Z)
 Z_SITES: tuple[Site, ...] = tuple(s for s in SITES if s.axis is Axis.Z)
 
 
+def _site_mask(sites: Iterable[Site]) -> int:
+    """Bit i set for each of the (distinct) sites with index i."""
+    return sum(1 << s.index for s in sites)
+
+
 class MicroState(_Value):
     """A 9-tuple of signs, one per site, in canonical site order.
 
@@ -160,8 +166,8 @@ class Triad(Enum):
     """One of the four compatible three-site measurements with a forced product sign.
 
     Each member carries ``sites``, its three ``SITES`` entries in canonical
-    order (so ``site in triad.sites`` hits by identity); ``mask``, bit i set
-    for each of them; and ``required_sign``, -1 for IV and +1 for the others.
+    order (so ``site in triad.sites`` hits by identity); ``mask``, their
+    ``_site_mask``; and ``required_sign``, -1 for IV and +1 for the others.
     """
 
     I = "I"
@@ -174,8 +180,13 @@ class Triad(Enum):
     def __init__(self, value: str) -> None:
         labels = {"I": "x1 y2 y3", "II": "y1 x2 y3", "III": "y1 y2 x3", "IV": "x1 x2 x3"}[value]
         self.sites = tuple(s for s in SITES if s.label in labels.split())
-        self.mask = sum(1 << s.index for s in self.sites)
+        self.mask = _site_mask(self.sites)
         self.required_sign = -1 if value == "IV" else +1
+
+    def holds(self, signs: int) -> bool:
+        """Whether a sign mask (bit i set where site i holds -1) gives the triad its required
+        sign: an even number of -1s on its sites, or an odd number for IV."""
+        return (-1) ** (signs & self.mask).bit_count() == self.required_sign
 
     @property
     def context(self) -> "MeasurementContext":
@@ -210,6 +221,14 @@ class PartitionElement(Enum):
 
 
 _SATISFIED_TO_ELEMENT = {el.satisfied: el for el in PartitionElement}
+
+# The GHZ state's stabiliser group as signed site masks (S, sign): the identity, the four
+# triads with their required signs and the three z pairs with +1 (Mermin, PRL 65, 1838).
+_STABILISER: tuple[tuple[int, int], ...] = (
+    (0, +1),
+    *((t.mask, t.required_sign) for t in Triad),
+    *((_site_mask(pair), +1) for pair in itertools.combinations(Z_SITES, 2)),
+)
 
 
 class MeasurementContext(_Value):
@@ -294,20 +313,12 @@ def classify(state: MicroState) -> PartitionElement:
     return _SATISFIED_TO_ELEMENT[satisfied_triads(state)]
 
 
-def _violated(signs: int) -> tuple[Triad, ...]:
-    """The triads violated by a GHZ state with this sign mask, in Triad order.
-
-    A triad's product is -1 exactly when an odd number of its sites hold -1;
-    ``classify`` is the reference.
-    """
-    return tuple(t for t in Triad if (-1) ** (signs & t.mask).bit_count() != t.required_sign)
-
-
 @lru_cache(maxsize=1)
 def _state_classes() -> tuple[tuple[MicroState, PartitionElement], ...]:
-    """Each GHZ state, in canonical order, with its partition class."""
+    """Each GHZ state, in canonical order, with the class violating the triads that do not hold on it."""
     by_violated = {el.violated: el for el in PartitionElement}
-    return tuple((s, by_violated[_violated(s._signs)]) for s in _ghz_microstates().values())
+    states = _ghz_microstates().values()
+    return tuple((s, by_violated[tuple(t for t in Triad if not t.holds(s._signs))]) for s in states)
 
 
 @lru_cache(maxsize=1)

@@ -435,13 +435,13 @@ def slot_verify_dm(model: Model) -> VerificationReport:
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(models=uniform_models())
-def test_dm_class_route_matches_the_slot_walk_on_drawn_families(models):
-    # the class-built model walks its families, the state-map and swapped ones their slots
+def test_dm_verdict_from_the_table_matches_the_slot_walk_on_drawn_families(models):
+    # the class-built, state-map and swapped models all read their verdict from the table
     for model in models:
         assert verify_dm(model) == slot_verify_dm(model)
 
 
-def test_dm_class_route_matches_the_slot_walk():
+def test_dm_verdict_from_the_table_matches_the_slot_walk():
     searched = search_models(SearchSpec(failure_count=2, ddists_per_state=(1, 2), limit=40))
     fixed = [Model.from_element_families("failing", families) for families in FAILING_FAMILIES]
     for model in [model_m3(), model_m1(), model_m2(), *fixed, *searched]:
@@ -512,7 +512,7 @@ def test_class_built_models_derive_their_slots_only_on_demand():
         assert "assignment" in model.__dict__
 
 
-def test_document_models_probe_uniformity_without_a_state_map():
+def test_document_models_read_their_slots_without_a_state_map():
     """A document model holds no class families: its lcm, views and ``element_families()``
     walk its slots beside ``_state_classes()``, and only ``family()`` builds the state ->
     family dict.  Its families come in PartitionElement order, not in the order the classes

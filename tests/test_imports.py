@@ -24,9 +24,10 @@ COMMAND_IMPORTS = [
     (["search", "spec.json", "--limit", "1"], {"models", "search", "serialize"}, {"builtin"}),
     (["combinations", "M2", "--format", "csv"], {"builtin", "models", "serialize"}, {"qm", "search"}),
     (["export", "M1"], {"builtin", "models", "serialize"}, {"qm", "search"}),
-    (["verify", "M2"], {"builtin", "models", "qm"}, {"search"}),
+    (["verify", "M2"], {"builtin", "models"}, {"qm", "search"}),
     (["verify", "M2", "--counts", "192,96"], {"builtin", "models", "search"}, set()),
-    (["verify", "m2.json"], {"models", "qm", "serialize"}, {"builtin", "search"}),
+    (["verify", "m2.json"], {"models", "serialize"}, {"builtin", "qm", "search"}),
+    (["reproduce", "M3"], {"builtin", "models"}, {"qm", "search"}),
 ]
 
 

@@ -209,6 +209,16 @@ def test_model_from_json_rejects_bad_documents(m3):
         model_from_json(document)
     with pytest.raises(FormatError, match="not valid Unicode"):
         model_from_json({**model_to_json(m3), "name": "\ud800x"})
+    # an unknown key, top-level or in a state entry, is refused, as in a search spec
+    with pytest.raises(FormatError, match=re.escape("unknown model document keys: ['comment']")):
+        model_from_json({**model_to_json(m3), "comment": "x"})
+    document = model_to_json(m3)
+    values, ddists = document["states"][77]["values"], document["states"][77]["ddists"]
+    # three keys, or two of which one is unknown
+    for entry in ({"values": values, "ddists": ddists, "comment": "x"}, {"values": values, "comment": ddists}):
+        document["states"][77] = entry
+        with pytest.raises(FormatError, match="needs exactly 'values' and 'ddists'"):
+            model_from_json(document)
 
 
 def test_context_parsing():

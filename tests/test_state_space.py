@@ -135,8 +135,8 @@ def test_partition_has_8_classes_of_16():
 
 
 def test_sign_mask_tables_match_classify():
-    # partition_classes() and _state_classes() read a triad's sign from the
-    # parity of the state's -1s on it; classify and triad.sites are the reference
+    # partition_classes() and _state_classes() read a triad's sign from Triad.holds,
+    # the parity of the state's -1s on it; classify and triad.sites are the reference
     assert partition_classes() == {
         el: tuple(s for s in STATES if classify(s) is el) for el in PartitionElement
     }
@@ -145,6 +145,11 @@ def test_sign_mask_tables_match_classify():
     assert all(a is b for (a, _), b in zip(_state_classes(), STATES))
     for element in PartitionElement:
         assert element.violated == tuple(t for t in Triad if t not in element.satisfied)
+    # Triad.holds reads the same parity off any of the 512 sign masks, GHZ-compatible or not
+    for signs in range(512):
+        state = MicroState(tuple(-1 if signs >> i & 1 else +1 for i in range(9)))
+        assert state._signs == signs
+        assert [t.holds(signs) for t in Triad] == [satisfies(state, t) for t in Triad]
 
 
 def test_shared_states_equal_fresh_ones_and_carry_their_sign_masks():
